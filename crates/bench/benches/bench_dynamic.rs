@@ -11,14 +11,18 @@
 //! * `dynamic/edge_epoch1024steps` — the same for the EdgeModel.
 //! * `dynamic/churn_commit` — churn + commit alone: 64 swaps patched in
 //!   place, a 64-rewire epoch committed via the shifted patch (bulk-copied
-//!   untouched ranges + rebuilt touched rows), and `set_edges`
+//!   untouched ranges + merged touched rows), and `set_edges`
 //!   replacements, which now **diff against the committed CSR**: an
 //!   identical list is a merge sweep + no-op commit, a one-chord delta a
 //!   merge sweep + two-row patch (the historical wholesale O(n + m)
-//!   rebuild is gone).
+//!   rebuild is gone). On the 128×128 torus of the `churn_converge`
+//!   benchmark workload, `swap512_patch` and `swap2048_patch` check that
+//!   an epoch's staging + commit cost is linear in its swap count (O(Δ),
+//!   plus the O(Δ log Δ) sort of the delta).
 //!
-//! CI runs this target in smoke mode (`--sample-size 2`); the tracked
-//! medians in `CHANGES.md` come from full runs.
+//! CI runs this target in smoke mode (`--sample-size 2`); the committed
+//! `BENCH_dynamic.json` medians come from a full run with `OD_BENCH_JSON`
+//! set.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
@@ -157,6 +161,20 @@ fn churn_commit_only(c: &mut Criterion) {
                 };
                 flip += 1;
                 dg.set_edges(edges).unwrap();
+                dg.commit()
+            });
+        });
+    }
+    let torus128 = generators::torus(128, 128).unwrap();
+    for swaps in [512usize, 2048] {
+        group.bench_function(format!("torus128x128/n16384/swap{swaps}_patch"), |b| {
+            let mut dg = DynamicGraph::new(torus128.clone());
+            let churn = ChurnModel::edge_swap(swaps);
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut epoch = 0u64;
+            b.iter(|| {
+                churn.apply(&mut dg, epoch, &mut rng).unwrap();
+                epoch += 1;
                 dg.commit()
             });
         });

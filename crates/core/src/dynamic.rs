@@ -411,6 +411,9 @@ pub struct DynamicReplicaBatch {
     time: u64,
     epoch: u64,
     mutations: u64,
+    /// Per replica (original order): `mutations` at the boundary where
+    /// the replica last retired from `run_until_converged`.
+    retired_mutations: Vec<u64>,
 }
 
 impl DynamicReplicaBatch {
@@ -450,6 +453,7 @@ impl DynamicReplicaBatch {
             time: 0,
             epoch: 0,
             mutations: 0,
+            retired_mutations: vec![0; seeds.len()],
         })
     }
 
@@ -491,6 +495,18 @@ impl DynamicReplicaBatch {
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
         self.mutations
+    }
+
+    /// Elementary topology mutations the shared environment had applied
+    /// when replica `r` retired from the last
+    /// [`DynamicReplicaBatch::run_until_converged`] — the per-trial count
+    /// (see there); 0 before the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= replicas()`.
+    pub fn replica_mutations(&self, r: usize) -> u64 {
+        self.retired_mutations[r]
     }
 
     /// Replica `r`'s value vector.
@@ -553,6 +569,15 @@ impl DynamicReplicaBatch {
     /// `(churn_seed, its own seed)` only — independent of thread count,
     /// retirement order and batch size.
     ///
+    /// Each replica also records the environment's cumulative mutation
+    /// count ([`DynamicReplicaBatch::mutations`]) at its own retirement
+    /// boundary — the epoch it converged at, or the last boundary of the
+    /// budget — readable afterwards through
+    /// [`DynamicReplicaBatch::replica_mutations`]. Like the stopping time
+    /// it depends only on `(churn_seed, its own seed)`, whereas
+    /// `mutations()` counts how long the whole batch kept churning, so it
+    /// grows with the slowest replica sharing the batch.
+    ///
     /// # Errors
     ///
     /// [`CoreError::InvalidEpsilon`] for a negative or non-finite
@@ -611,6 +636,7 @@ impl DynamicReplicaBatch {
                     potential: outcome.potential,
                     weighted_average: outcome.weighted_average,
                 };
+                self.retired_mutations[slot_replica[slot]] = self.mutations;
             }
             let values = &mut self.values;
             let rngs = &mut self.rngs;

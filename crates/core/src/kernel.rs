@@ -291,20 +291,53 @@ pub(crate) fn slice_potential_pi(graph: &Graph, values: &[f64]) -> f64 {
 
 /// [`slice_potential_pi`] fused with its first pass: returns `(φ, M)`
 /// where `M` is the weighted mean used as gauge, so block-boundary checks
-/// get the `F` estimate for free.
+/// get the `F` estimate for free. The width-1 case of
+/// [`slice_potentials_and_means`].
 pub(crate) fn slice_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f64) {
-    let mu = slice_weighted_average(graph, values);
+    let [pm] = slice_potentials_and_means(graph, [values]);
+    pm
+}
+
+/// Replicas per grouped boundary evaluation
+/// ([`slice_potentials_and_means`]): enough independent add chains to
+/// hide the float-add latency, few enough rows to stay in cache together.
+const PHI_GROUP: usize = 4;
+
+/// `(φ, M)` of `W` value rows on one graph in a single sweep over the
+/// nodes, for the block-boundary check of `W` replicas at once.
+///
+/// A one-row evaluation is a chain of dependent float adds, so it runs
+/// at the add latency; `W` rows give `W` independent chains per node.
+/// Each row keeps its own accumulators, summed in node order from the
+/// same `-0.0` start as `Iterator::sum`, and every term is the historical
+/// expression (`s_u · ξ_u` for `M`, `(s_u / W_tot) · c · c` for `φ`), so
+/// each result is bit-identical to evaluating its row alone. The shared
+/// per-node weight `s_u / W_tot` is computed once per node, and the total
+/// weight once per call.
+pub(crate) fn slice_potentials_and_means<const W: usize>(
+    graph: &Graph,
+    rows: [&[f64]; W],
+) -> [(f64, f64); W] {
+    let n = graph.n();
+    let rows = rows.map(|row| &row[..n]);
     let total = graph.total_weight();
-    let phi = values
-        .iter()
-        .enumerate()
-        .map(|(u, &x)| {
-            let c = x - mu;
-            graph.row_weight_sum(u as NodeId) / total * c * c
-        })
-        .sum::<f64>()
-        .max(0.0);
-    (phi, mu)
+    let mut sums = [-0.0f64; W];
+    for u in 0..n {
+        let s = graph.row_weight_sum(u as NodeId);
+        for (sum, row) in sums.iter_mut().zip(&rows) {
+            *sum += s * row[u];
+        }
+    }
+    let mus = sums.map(|sum| sum / total);
+    let mut phis = [-0.0f64; W];
+    for u in 0..n {
+        let w = graph.row_weight_sum(u as NodeId) / total;
+        for ((phi, row), mu) in phis.iter_mut().zip(&rows).zip(&mus) {
+            let c = row[u] - mu;
+            *phi += w * c * c;
+        }
+    }
+    std::array::from_fn(|r| (phis[r].max(0.0), mus[r]))
 }
 
 /// Uniform-weight sibling of [`slice_potential_and_mean`]: returns
@@ -668,7 +701,9 @@ pub(crate) enum BlockCheck<'a> {
     },
 }
 
-/// Steps one replica through one block under `check`.
+/// Steps one replica through one block under `check`. Under
+/// [`BlockCheck::Boundary`] the potential fields are left `NaN`: the
+/// caller evaluates them per group of replicas ([`boundary_check`]).
 #[allow(clippy::too_many_arguments)]
 // private leaf of the block runners
 // Invariant-backed: the `expect` messages state why each cannot fire.
@@ -685,26 +720,13 @@ fn converge_replica_block(
     rng: &mut StdRng,
 ) -> BlockOutcome {
     match check {
-        BlockCheck::None => {
+        BlockCheck::None | BlockCheck::Boundary { .. } => {
             run_steps(graph, spec, values, sample, perm, block, rng);
             BlockOutcome {
                 steps: block,
                 potential: f64::NAN,
                 weighted_average: f64::NAN,
                 converged: false,
-            }
-        }
-        BlockCheck::Boundary { epsilon, kind } => {
-            run_steps(graph, spec, values, sample, perm, block, rng);
-            let (potential, weighted_average) = match kind {
-                PotentialKind::Pi => slice_potential_and_mean(graph, values),
-                PotentialKind::Uniform => slice_potential_uniform_and_mean(values),
-            };
-            BlockOutcome {
-                steps: block,
-                potential,
-                weighted_average,
-                converged: potential <= *epsilon,
             }
         }
         BlockCheck::Tracked { epsilon, pi } => {
@@ -718,6 +740,93 @@ fn converge_replica_block(
                 weighted_average: tracker.weighted_average(),
                 converged,
             }
+        }
+    }
+}
+
+/// The [`BlockCheck::Boundary`] evaluation of a group of replicas whose
+/// rows are consecutive in `values`: fills each outcome's potential,
+/// weighted average and convergence flag. π potentials of up to
+/// [`PHI_GROUP`] rows share one sweep ([`slice_potentials_and_means`]).
+fn boundary_check(
+    graph: &Graph,
+    epsilon: f64,
+    kind: PotentialKind,
+    n: usize,
+    values: &[f64],
+    outcomes: &mut [BlockOutcome],
+) {
+    fn record(outcome: &mut BlockOutcome, (potential, weighted_average): (f64, f64), eps: f64) {
+        outcome.potential = potential;
+        outcome.weighted_average = weighted_average;
+        outcome.converged = potential <= eps;
+    }
+    fn grouped<const W: usize>(
+        graph: &Graph,
+        eps: f64,
+        n: usize,
+        values: &[f64],
+        outcomes: &mut [BlockOutcome],
+    ) {
+        let rows = std::array::from_fn(|r| &values[r * n..(r + 1) * n]);
+        for (outcome, pm) in outcomes
+            .iter_mut()
+            .zip(slice_potentials_and_means::<W>(graph, rows))
+        {
+            record(outcome, pm, eps);
+        }
+    }
+    debug_assert!(outcomes.len() <= PHI_GROUP);
+    match (kind, outcomes.len()) {
+        (PotentialKind::Uniform, _) => {
+            for (r, outcome) in outcomes.iter_mut().enumerate() {
+                let row = &values[r * n..(r + 1) * n];
+                record(outcome, slice_potential_uniform_and_mean(row), epsilon);
+            }
+        }
+        (PotentialKind::Pi, 1) => grouped::<1>(graph, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, 2) => grouped::<2>(graph, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, 3) => grouped::<3>(graph, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, _) => grouped::<PHI_GROUP>(graph, epsilon, n, values, outcomes),
+    }
+}
+
+/// One worker's share of [`run_replica_block_parallel`]: steps its
+/// replicas in groups of [`PHI_GROUP`], running each group's boundary
+/// check right after the group's steps, while its rows are still in
+/// cache.
+#[allow(clippy::too_many_arguments)] // private leaf of the block runner
+fn run_replica_range(
+    graph: &Graph,
+    spec: KernelSpec,
+    check: &BlockCheck<'_>,
+    n: usize,
+    values: &mut [f64],
+    rngs: &mut [StdRng],
+    trackers: &mut [PotentialTracker],
+    outcomes: &mut [BlockOutcome],
+    blocks: &[u64],
+) {
+    let (mut sample, mut perm) = spec.scratch(graph);
+    for (g, group) in outcomes.chunks_mut(PHI_GROUP).enumerate() {
+        let first = g * PHI_GROUP;
+        for (i, outcome) in group.iter_mut().enumerate() {
+            let slot = first + i;
+            *outcome = converge_replica_block(
+                graph,
+                spec,
+                check,
+                &mut values[slot * n..(slot + 1) * n],
+                trackers.get_mut(slot),
+                &mut sample,
+                &mut perm,
+                blocks[slot],
+                &mut rngs[slot],
+            );
+        }
+        if let BlockCheck::Boundary { epsilon, kind } = *check {
+            let rows = &values[first * n..(first + group.len()) * n];
+            boundary_check(graph, epsilon, kind, n, rows, group);
         }
     }
 }
@@ -756,31 +865,20 @@ pub(crate) fn run_replica_block_parallel(
     debug_assert!(blocks.len() >= live);
     debug_assert!(values.len() >= live * n);
     let workers = threads.clamp(1, live.max(1));
+    let mut values = &mut values[..live * n];
+    let mut rngs = &mut rngs[..live];
+    let mut blocks = &blocks[..live];
     if workers <= 1 {
-        let (mut sample, mut perm) = spec.scratch(graph);
-        for (slot, outcome) in outcomes.iter_mut().enumerate() {
-            *outcome = converge_replica_block(
-                graph,
-                spec,
-                check,
-                &mut values[slot * n..(slot + 1) * n],
-                trackers.get_mut(slot),
-                &mut sample,
-                &mut perm,
-                blocks[slot],
-                &mut rngs[slot],
-            );
-        }
+        run_replica_range(
+            graph, spec, check, n, values, rngs, trackers, outcomes, blocks,
+        );
         return;
     }
     let base = live / workers;
     let extra = live % workers;
     std::thread::scope(|scope| {
-        let mut values = &mut values[..live * n];
-        let mut rngs = &mut rngs[..live];
         let mut trackers = trackers;
         let mut outcomes = outcomes;
-        let mut blocks = &blocks[..live];
         for w in 0..workers {
             let cnt = base + usize::from(w < extra);
             if cnt == 0 {
@@ -797,22 +895,7 @@ pub(crate) fn run_replica_block_parallel(
             let t_cnt = if trackers.is_empty() { 0 } else { cnt };
             let (t, rest) = trackers.split_at_mut(t_cnt);
             trackers = rest;
-            scope.spawn(move || {
-                let (mut sample, mut perm) = spec.scratch(graph);
-                for (i, outcome) in o.iter_mut().enumerate() {
-                    *outcome = converge_replica_block(
-                        graph,
-                        spec,
-                        check,
-                        &mut v[i * n..(i + 1) * n],
-                        t.get_mut(i),
-                        &mut sample,
-                        &mut perm,
-                        bl[i],
-                        &mut r[i],
-                    );
-                }
-            });
+            scope.spawn(move || run_replica_range(graph, spec, check, n, v, r, t, o, bl));
         }
     });
 }
@@ -1312,6 +1395,85 @@ mod tests {
             StepKernel::new(&g, vec![0.0, f64::NAN, 0.0, 0.0], spec),
             Err(CoreError::NonFiniteValue { index: 1 })
         ));
+    }
+
+    /// The historical one-row `(φ, M)` evaluation, written out with
+    /// `Iterator::sum`: the reference the grouped sweep must match.
+    fn one_row_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f64) {
+        let total = graph.total_weight();
+        let weight = |u: usize| graph.row_weight_sum(u as NodeId);
+        let mu = values
+            .iter()
+            .enumerate()
+            .map(|(u, &x)| weight(u) * x)
+            .sum::<f64>()
+            / total;
+        let phi = values
+            .iter()
+            .enumerate()
+            .map(|(u, &x)| {
+                let c = x - mu;
+                weight(u) / total * c * c
+            })
+            .sum::<f64>()
+            .max(0.0);
+        (phi, mu)
+    }
+
+    #[test]
+    fn grouped_boundary_potentials_match_one_row_evaluation() {
+        use rand::Rng;
+        let plain = generators::torus(6, 7).unwrap();
+        let mut weighted = plain.clone();
+        let weights: Vec<f64> = (0..plain.m())
+            .map(|e| 0.5 + (e % 7) as f64 * 0.375)
+            .collect();
+        weighted.attach_weights(&weights).unwrap();
+        let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
+        let eps = 0.3;
+        let check = BlockCheck::Boundary {
+            epsilon: eps,
+            kind: PotentialKind::Pi,
+        };
+        for graph in [&plain, &weighted] {
+            let n = graph.n();
+            // Every group remainder: 1..=9 live replicas, inline and on
+            // two workers (whose ranges split the groups differently).
+            for live in 1..=9usize {
+                let mut rng = StdRng::seed_from_u64(live as u64);
+                let values: Vec<f64> = (0..live * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                for threads in [1, 2] {
+                    let mut buf = values.clone();
+                    let mut rngs: Vec<StdRng> =
+                        (0..live as u64).map(StdRng::seed_from_u64).collect();
+                    let mut outcomes = vec![BlockOutcome::default(); live];
+                    run_replica_block_parallel(
+                        graph,
+                        spec,
+                        &check,
+                        n,
+                        &mut buf,
+                        &mut rngs,
+                        &mut [],
+                        &mut outcomes,
+                        &vec![0; live],
+                        threads,
+                    );
+                    for (r, outcome) in outcomes.iter().enumerate() {
+                        let row = &values[r * n..(r + 1) * n];
+                        let (phi, mu) = one_row_potential_and_mean(graph, row);
+                        assert_eq!(
+                            outcome.potential.to_bits(),
+                            phi.to_bits(),
+                            "live {live} r {r}"
+                        );
+                        assert_eq!(outcome.weighted_average.to_bits(), mu.to_bits());
+                        assert_eq!(outcome.converged, phi <= eps);
+                        assert_eq!(slice_potential_and_mean(graph, row), (phi, mu));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

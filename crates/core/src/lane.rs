@@ -782,6 +782,9 @@ pub struct DynamicLaneReplicaBatch {
     time: u64,
     epoch: u64,
     mutations: u64,
+    /// Per lane: `mutations` at the boundary where the lane last froze
+    /// its report in `run_until_converged`.
+    retired_mutations: Vec<u64>,
 }
 
 impl DynamicLaneReplicaBatch {
@@ -822,6 +825,7 @@ impl DynamicLaneReplicaBatch {
             time: 0,
             epoch: 0,
             mutations: 0,
+            retired_mutations: vec![0; lanes],
         })
     }
 
@@ -863,6 +867,19 @@ impl DynamicLaneReplicaBatch {
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
         self.mutations
+    }
+
+    /// Elementary topology mutations the shared environment had applied
+    /// when lane `r` froze its report in the last
+    /// [`DynamicLaneReplicaBatch::run_until_converged`] (the same
+    /// per-trial count as [`crate::DynamicReplicaBatch::replica_mutations`]);
+    /// 0 before the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= lanes()`.
+    pub fn replica_mutations(&self, r: usize) -> u64 {
+        self.retired_mutations[r]
     }
 
     /// Lane `r`'s value vector, gathered out of the lane-major storage.
@@ -950,6 +967,7 @@ impl DynamicLaneReplicaBatch {
                     potential: phi[j],
                     weighted_average: mu[j],
                 };
+                self.retired_mutations[j] = self.mutations;
                 if converged {
                     frozen[j] = true;
                     live -= 1;

@@ -83,10 +83,11 @@ pub(crate) struct CsrScratch {
     cursor: Vec<usize>,
 }
 
-/// One node's staged row change, `(removed targets, added targets)` —
-/// the per-node shape of `DynamicGraph`'s delta overlay, consumed by the
-/// in-place and shifted patch commits.
-pub(crate) type RowDelta = (Vec<NodeId>, Vec<NodeId>);
+/// One staged half-edge change `(node, target, net)` of `DynamicGraph`'s
+/// delta buffer: `net` is `+1` for an added and `-1` for a removed
+/// target of `node`'s row. The patch commits read the buffer sorted by
+/// `(node, target)` with cancelled entries dropped.
+pub(crate) type HalfEdgeDelta = (NodeId, NodeId, i32);
 
 impl Graph {
     /// Builds a graph with `n` nodes from an undirected edge list.
@@ -406,25 +407,26 @@ impl Graph {
         Ok(())
     }
 
-    /// Rebuilds this graph from `src` plus a sparse per-node row delta,
-    /// shifting the untouched CSR ranges wholesale instead of re-deriving
-    /// them from the edge list. This is the small-degree-changing-delta
-    /// commit path of [`crate::DynamicGraph`]: a handful of rewires used
-    /// to pay a full [`Graph::assign_from_edges`] rebuild (per-edge
-    /// scatter + per-row sort over the whole graph, ≈ 50 ms at n = 10⁶);
-    /// here untouched neighbour/tail ranges are bulk-copied (memcpy
-    /// speed), offsets are shifted by the running degree delta, and only
-    /// the touched rows — O(Σ d log d over touched nodes) — are rebuilt.
+    /// Rebuilds this graph from `src` plus a sparse row delta, shifting
+    /// the untouched CSR ranges wholesale instead of re-deriving them from
+    /// the edge list. This is the small-degree-changing-delta commit path
+    /// of [`crate::DynamicGraph`]: a handful of rewires used to pay a full
+    /// [`Graph::assign_from_edges`] rebuild (per-edge scatter + per-row
+    /// sort over the whole graph, ≈ 50 ms at n = 10⁶); here untouched
+    /// neighbour/tail ranges are bulk-copied (memcpy speed), offsets are
+    /// shifted by the running degree delta, and each touched row is
+    /// merged with its (sorted) delta entries in one pass.
     ///
-    /// `touched` lists each node with a changed row (**strictly ascending
-    /// by node id**) with its `(removed, added)` neighbour lists; every
-    /// removed target must be present in `src`'s row and no added target
-    /// may be. The untouched runs between consecutive touched nodes are
-    /// copied without inspecting individual nodes, so the cost is
-    /// O(Δ · d log d) row work plus memcpy-speed bulk copies.
-    pub(crate) fn assign_patched(&mut self, src: &Graph, touched: &[(NodeId, RowDelta)]) {
+    /// `delta` is sorted by `(node, target)` with no two entries for the
+    /// same pair; every removed target must be present in `src`'s row and
+    /// no added target may be. The cost is O(Δ + Σ d over touched nodes)
+    /// row work plus memcpy-speed bulk copies, and nothing is allocated
+    /// once this buffer's capacity has warmed up.
+    pub(crate) fn assign_patched(&mut self, src: &Graph, delta: &[HalfEdgeDelta]) {
         let n = src.n();
-        debug_assert!(touched.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(delta
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         // The dynamic layer only churns plain graphs (weighted edge deltas
         // carry no weight for the added targets), so the patch target is
         // plain too.
@@ -438,7 +440,6 @@ impl Graph {
         self.offsets.push(0);
         self.neighbors.clear();
         self.tails.clear();
-        let mut row: Vec<NodeId> = Vec::new();
         // Copies the untouched run [from, to): one bulk copy each for
         // neighbours and tails, offsets shifted by the cumulative degree
         // delta so far.
@@ -457,27 +458,33 @@ impl Graph {
             );
         };
         let mut prev = 0usize;
-        for (node, (removed, added)) in touched {
-            let u = *node as usize;
-            copy_run(&mut *self, prev, u);
-            row.clear();
-            row.extend(
-                src.neighbors(*node)
-                    .iter()
-                    .copied()
-                    .filter(|t| !removed.contains(t)),
-            );
-            debug_assert_eq!(
-                row.len() + removed.len(),
-                src.degree(*node),
-                "staged removal missing from the committed row of node {node}"
-            );
-            row.extend_from_slice(added);
-            row.sort_unstable();
-            self.neighbors.extend_from_slice(&row);
-            self.tails.extend(std::iter::repeat_n(*node, row.len()));
+        for group in delta.chunk_by(|a, b| a.0 == b.0) {
+            let node = group[0].0;
+            copy_run(&mut *self, prev, node as usize);
+            let row_start = self.neighbors.len();
+            // Merge the sorted row with the sorted delta: removed targets
+            // are skipped, added ones slot in at their sorted position.
+            let mut entries = group.iter().peekable();
+            for &target in src.neighbors(node) {
+                while let Some(&(_, added, net)) = entries.next_if(|e| e.1 < target) {
+                    debug_assert!(net > 0, "staged removal {added} missing from row {node}");
+                    self.neighbors.push(added);
+                }
+                match entries.next_if(|e| e.1 == target) {
+                    Some(&(_, _, net)) => {
+                        debug_assert!(net < 0, "added {target} already in row {node}")
+                    }
+                    None => self.neighbors.push(target),
+                }
+            }
+            for &(_, added, net) in entries {
+                debug_assert!(net > 0, "staged removal {added} missing from row {node}");
+                self.neighbors.push(added);
+            }
+            let row_len = self.neighbors.len() - row_start;
+            self.tails.extend(std::iter::repeat_n(node, row_len));
             self.offsets.push(self.neighbors.len());
-            prev = u + 1;
+            prev = node as usize + 1;
         }
         copy_run(&mut *self, prev, n);
         debug_assert!(self.check_invariants().is_ok());

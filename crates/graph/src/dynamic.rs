@@ -8,17 +8,26 @@
 //!
 //! [`DynamicGraph`] keeps the immutable CSR [`Graph`] as its *front
 //! buffer* — the thing the step kernels actually read — and stages edge
-//! mutations in a small delta overlay. [`DynamicGraph::commit`] folds the
-//! overlay into the CSR by the cheapest route:
+//! mutations in a flat delta buffer. Staging one
+//! [`DynamicGraph::add_edge`] / [`DynamicGraph::remove_edge`] costs O(1)
+//! (amortised): the logical edge list and its index are updated and two
+//! half-edge entries are appended. Cancellations (an edge removed and
+//! re-added within one epoch) are not searched for at staging time; they
+//! are resolved by the commit. [`DynamicGraph::commit`] sorts the Δ
+//! staged entries once (O(Δ log Δ)), sums each half-edge's entries to its
+//! net change, and folds what is left into the CSR by the cheapest route:
 //!
-//! * **in-place patch** when the delta is degree-preserving (edge swaps):
-//!   only the affected neighbour rows are rewritten, offsets and `tails`
-//!   stay untouched — O(Σ d log d over touched nodes);
+//! * **in-place patch** when the delta is degree-preserving (edge swaps,
+//!   checked by comparing the logical degrees with the front CSR's on the
+//!   touched nodes): each removed target is replaced by an added one and
+//!   rotated to its sorted slot, offsets and `tails` stay untouched —
+//!   O(Σ d over touched rows), allocation-free;
 //! * **shifted patch** for degree-changing edge deltas (rewires): the
 //!   untouched CSR ranges are bulk-copied into the back buffer with their
-//!   offsets moved by the running degree delta, and only the touched rows
-//!   are rebuilt — O(Δ + m/cacheline) instead of the full rebuild's
-//!   per-edge scatter + per-row sort (≈ 50 ms at n = 10⁶);
+//!   offsets moved by the running degree delta, and each touched row is
+//!   merged with its sorted delta entries — O(Δ + m/cacheline) instead of
+//!   the full rebuild's per-edge scatter + per-row sort (≈ 50 ms at
+//!   n = 10⁶);
 //! * **amortised rebuild** only when the staged delta rivals the edge
 //!   count itself (a fresh G(n,p) resample): the spare *back buffer* is
 //!   swapped in and refilled from the logical edge list, reusing its
@@ -55,12 +64,52 @@
 //! # }
 //! ```
 
-use crate::csr::{CsrScratch, Graph, NodeId, RowDelta};
+use crate::csr::{CsrScratch, Graph, HalfEdgeDelta, NodeId};
 use crate::error::GraphError;
 use rand::{Rng, RngCore};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 // od-lint: allow(D1) — edge_index/new_index are O(1)-membership tables only; no code iterates them
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-rotate hasher for the edge index (the `rustc-hash` mixing
+/// step): the index is lookup-only, so it needs speed, not DoS
+/// resistance or any particular iteration order. Churn staging hashes
+/// several edge keys per mutation, and SipHash dominated its cost.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeHasher(u64);
+
+impl EdgeHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for EdgeHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+}
+
+/// Canonical edge → position in the logical edge list.
+// od-lint: allow(D1) — lookup-only; order carried by the `edges` Vec
+type EdgeIndex = HashMap<(NodeId, NodeId), usize, BuildHasherDefault<EdgeHasher>>;
 
 /// How a [`DynamicGraph::commit`] folded the pending delta into the CSR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,13 +156,16 @@ pub struct DynamicGraph {
     /// Position of each canonical edge in `edges` (O(1) removal).
     /// Membership and point lookups only — iteration order never
     /// escapes: `edges` (a Vec) carries the canonical order.
-    edge_index: HashMap<(NodeId, NodeId), usize>, // od-lint: allow(D1) — lookup-only; order carried by the `edges` Vec
+    edge_index: EdgeIndex,
     /// Logical degree of every node.
     degrees: Vec<usize>,
-    /// Staged insertions not yet in `front`.
-    pending_add: Vec<(NodeId, NodeId)>,
-    /// Staged removals still present in `front`.
-    pending_remove: Vec<(NodeId, NodeId)>,
+    /// Staged mutations since the last commit, both orientations of each:
+    /// `(u, v, +1)` per added and `(u, v, -1)` per removed half-edge, in
+    /// staging order. An edge removed and re-added appears twice with
+    /// opposite signs; `commit` sorts the buffer in place, sums each
+    /// half-edge to its net change and drops the zeros. The buffer keeps
+    /// its capacity across commits.
+    delta: Vec<HalfEdgeDelta>,
     /// A wholesale [`DynamicGraph::set_edges`] staged a delta rivalling
     /// the edge count; the next commit must rebuild.
     full_rebuild: bool,
@@ -122,6 +174,13 @@ pub struct DynamicGraph {
     rebuilds: u64,
     patches: u64,
     shifts: u64,
+}
+
+/// Appends both half-edges of one staged edge mutation to a delta buffer.
+#[inline]
+fn stage(delta: &mut Vec<HalfEdgeDelta>, (u, v): (NodeId, NodeId), net: i32) {
+    delta.push((u, v, net));
+    delta.push((v, u, net));
 }
 
 /// Canonical `u < v` key for an undirected edge.
@@ -161,8 +220,7 @@ impl DynamicGraph {
             edges,
             edge_index,
             degrees,
-            pending_add: Vec::new(),
-            pending_remove: Vec::new(),
+            delta: Vec::new(),
             full_rebuild: false,
             diff_keys: Vec::new(),
             rebuilds: 0,
@@ -239,9 +297,16 @@ impl DynamicGraph {
         &self.front
     }
 
-    /// Whether mutations are staged that `commit` has not folded in yet.
+    /// Whether the logical edge set differs from the committed CSR, i.e.
+    /// whether `commit` has anything to fold in. Mutations that cancel out
+    /// (an edge added and removed again) leave the graph clean. O(Δ) over
+    /// the staged entries: each is checked against the front CSR.
     pub fn is_dirty(&self) -> bool {
-        self.full_rebuild || !self.pending_add.is_empty() || !self.pending_remove.is_empty()
+        self.full_rebuild
+            || self
+                .delta
+                .iter()
+                .any(|&(u, v, _)| self.has_edge(u, v) != self.front.has_edge(u, v))
     }
 
     /// Number of full CSR rebuild commits so far.
@@ -270,19 +335,14 @@ impl DynamicGraph {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<bool, GraphError> {
         self.validate_endpoints(u, v)?;
         let key = canonical(u, v);
-        if self.edge_index.contains_key(&key) {
-            return Ok(false);
-        }
-        self.edge_index.insert(key, self.edges.len());
+        match self.edge_index.entry(key) {
+            Entry::Occupied(_) => return Ok(false),
+            Entry::Vacant(slot) => slot.insert(self.edges.len()),
+        };
         self.edges.push(key);
         self.degrees[key.0 as usize] += 1;
         self.degrees[key.1 as usize] += 1;
-        // Re-adding an edge whose removal is still staged cancels out.
-        if let Some(pos) = self.pending_remove.iter().position(|&e| e == key) {
-            self.pending_remove.swap_remove(pos);
-        } else {
-            self.pending_add.push(key);
-        }
+        stage(&mut self.delta, key, 1);
         Ok(true)
     }
 
@@ -305,11 +365,7 @@ impl DynamicGraph {
         }
         self.degrees[key.0 as usize] -= 1;
         self.degrees[key.1 as usize] -= 1;
-        if let Some(p) = self.pending_add.iter().position(|&e| e == key) {
-            self.pending_add.swap_remove(p);
-        } else {
-            self.pending_remove.push(key);
-        }
+        stage(&mut self.delta, key, -1);
         Ok(true)
     }
 
@@ -331,8 +387,8 @@ impl DynamicGraph {
     /// The same as [`Graph::from_edges`]; on error the dynamic graph is
     /// left unchanged.
     pub fn set_edges(&mut self, edges: &[(NodeId, NodeId)]) -> Result<(), GraphError> {
-        // od-lint: allow(D1) — duplicate detection only; edge order comes from the input slice
-        let mut new_index: HashMap<(NodeId, NodeId), usize> = HashMap::with_capacity(edges.len());
+        // Duplicate detection only; edge order comes from the input slice.
+        let mut new_index = EdgeIndex::with_capacity_and_hasher(edges.len(), Default::default());
         let mut new_edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len());
         let mut new_degrees = vec![0usize; self.n];
         for &(u, v) in edges {
@@ -349,10 +405,9 @@ impl DynamicGraph {
             new_degrees[key.1 as usize] += 1;
         }
         // Stage the symmetric difference vs the committed front buffer.
-        // Pending lists always describe logical-vs-front, so the diff
+        // The delta always describes logical-vs-front, so the diff
         // replaces any previously staged delta wholesale.
-        self.pending_add.clear();
-        self.pending_remove.clear();
+        self.delta.clear();
         let pack = |(u, v): (NodeId, NodeId)| ((u as u64) << 32) | v as u64;
         let unpack = |k: u64| ((k >> 32) as NodeId, (k & 0xFFFF_FFFF) as NodeId);
         self.diff_keys.clear();
@@ -360,32 +415,30 @@ impl DynamicGraph {
         self.diff_keys.sort_unstable();
         {
             let keys = &self.diff_keys;
-            let pending_add = &mut self.pending_add;
-            let pending_remove = &mut self.pending_remove;
+            let delta = &mut self.delta;
             let mut i = 0usize;
             for front_edge in self.front.edges() {
                 let fk = pack(front_edge);
                 while i < keys.len() && keys[i] < fk {
-                    pending_add.push(unpack(keys[i]));
+                    stage(delta, unpack(keys[i]), 1);
                     i += 1;
                 }
                 if i < keys.len() && keys[i] == fk {
                     i += 1;
                 } else {
-                    pending_remove.push(front_edge);
+                    stage(delta, front_edge, -1);
                 }
             }
             for &k in &keys[i..] {
-                pending_add.push(unpack(k));
+                stage(delta, unpack(k), 1);
             }
         }
         // A delta rivalling the edge count would touch nearly every row;
-        // the scatter-and-sort rebuild is cheaper there.
-        let delta = self.pending_add.len() + self.pending_remove.len();
-        self.full_rebuild = 2 * delta > new_edges.len() + self.front.m();
+        // the scatter-and-sort rebuild is cheaper there (two half-edge
+        // entries per staged edge).
+        self.full_rebuild = self.delta.len() > new_edges.len() + self.front.m();
         if self.full_rebuild {
-            self.pending_add.clear();
-            self.pending_remove.clear();
+            self.delta.clear();
         }
         self.edges = new_edges;
         self.edge_index = new_index;
@@ -399,36 +452,35 @@ impl DynamicGraph {
     // Invariant-backed: the `expect` messages state why each cannot fire.
     #[allow(clippy::expect_used)]
     pub fn commit(&mut self) -> CommitOutcome {
-        if !self.is_dirty() {
+        if self.full_rebuild {
+            std::mem::swap(&mut self.front, &mut self.back);
+            self.front
+                .assign_from_edges(self.n, &self.edges, &mut self.scratch)
+                .expect("logical edge set is maintained valid");
+            self.delta.clear();
+            self.full_rebuild = false;
+            self.rebuilds += 1;
+            return CommitOutcome::Rebuilt;
+        }
+        self.net_delta();
+        if self.delta.is_empty() {
             return CommitOutcome::Unchanged;
         }
-        if !self.full_rebuild && self.delta_preserves_degrees() {
+        let outcome = if self.delta_preserves_degrees() {
             self.patch_in_place();
             self.patches += 1;
-            return CommitOutcome::Patched;
-        }
-        if !self.full_rebuild {
+            CommitOutcome::Patched
+        } else {
             // Degree-changing edge delta: shift the untouched CSR ranges
-            // into the back buffer and rebuild only the touched rows —
+            // into the back buffer and merge only the touched rows —
             // O(Δ + m/cacheline) instead of the full O(n + m) rebuild.
-            let mut touched: Vec<(NodeId, RowDelta)> = self.per_node_delta().into_iter().collect();
-            touched.sort_unstable_by_key(|&(node, _)| node);
             std::mem::swap(&mut self.front, &mut self.back);
-            self.front.assign_patched(&self.back, &touched);
-            self.pending_add.clear();
-            self.pending_remove.clear();
+            self.front.assign_patched(&self.back, &self.delta);
             self.shifts += 1;
-            return CommitOutcome::Shifted;
-        }
-        std::mem::swap(&mut self.front, &mut self.back);
-        self.front
-            .assign_from_edges(self.n, &self.edges, &mut self.scratch)
-            .expect("logical edge set is maintained valid");
-        self.pending_add.clear();
-        self.pending_remove.clear();
-        self.full_rebuild = false;
-        self.rebuilds += 1;
-        CommitOutcome::Rebuilt
+            CommitOutcome::Shifted
+        };
+        self.delta.clear();
+        outcome
     }
 
     fn validate_endpoints(&self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
@@ -446,64 +498,73 @@ impl DynamicGraph {
         Ok(())
     }
 
-    /// Whether the staged delta leaves every node's degree unchanged (the
+    /// Reduces the staged delta buffer, in place, to the net change
+    /// against the front CSR: sorted by `(node, target)`, one entry per
+    /// changed half-edge. Staging alternates adds and removes of any one
+    /// edge, so each half-edge's entries sum to `-1`, `0` or `+1`; the
+    /// zeros (cancelled mutations) are dropped.
+    fn net_delta(&mut self) {
+        let delta = &mut self.delta;
+        delta.sort_unstable_by_key(|&(u, v, _)| (u64::from(u) << 32) | u64::from(v));
+        let mut kept = 0usize;
+        let mut i = 0usize;
+        while i < delta.len() {
+            let (u, v, mut net) = delta[i];
+            i += 1;
+            while i < delta.len() && delta[i].0 == u && delta[i].1 == v {
+                net += delta[i].2;
+                i += 1;
+            }
+            debug_assert!(
+                net.abs() <= 1,
+                "staged mutations of ({u},{v}) do not alternate"
+            );
+            if net != 0 {
+                delta[kept] = (u, v, net);
+                kept += 1;
+            }
+        }
+        delta.truncate(kept);
+    }
+
+    /// Whether the net delta leaves every node's degree unchanged (the
     /// in-place patch precondition: CSR offsets and `tails` stay valid).
+    /// The logical degrees already include the delta, so comparing them
+    /// with the front CSR's on the touched nodes decides it in O(Δ).
     fn delta_preserves_degrees(&self) -> bool {
-        let mut delta: BTreeMap<NodeId, i64> = BTreeMap::new();
-        for &(u, v) in &self.pending_add {
-            *delta.entry(u).or_default() += 1;
-            *delta.entry(v).or_default() += 1;
-        }
-        for &(u, v) in &self.pending_remove {
-            *delta.entry(u).or_default() -= 1;
-            *delta.entry(v).or_default() -= 1;
-        }
-        delta.values().all(|&d| d == 0)
+        self.delta
+            .iter()
+            .all(|&(u, _, _)| self.degrees[u as usize] == self.front.degree(u))
     }
 
-    /// The staged delta grouped per touched node as
-    /// `(removed targets, added targets)` — the input shape of both the
-    /// in-place patch and the shifted patch.
-    /// `BTreeMap` so patch application walks nodes in index order —
-    /// per-row patches are independent, but a deterministic walk keeps
-    /// memory traffic and any future instrumentation reproducible.
-    fn per_node_delta(&self) -> BTreeMap<NodeId, RowDelta> {
-        let mut per_node: BTreeMap<NodeId, RowDelta> = BTreeMap::new();
-        for &(u, v) in &self.pending_remove {
-            per_node.entry(u).or_default().0.push(v);
-            per_node.entry(v).or_default().0.push(u);
-        }
-        for &(u, v) in &self.pending_add {
-            per_node.entry(u).or_default().1.push(v);
-            per_node.entry(v).or_default().1.push(u);
-        }
-        per_node
-    }
-
-    /// Applies a degree-preserving delta to the front CSR row by row:
-    /// removed targets are located while the row is still sorted, slots
-    /// are overwritten with the added targets, and the row is re-sorted.
+    /// Applies a degree-preserving net delta to the front CSR row by row.
+    /// Each touched row has as many removed as added targets (both in
+    /// ascending order in the sorted delta); the i-th removed target's
+    /// slot takes the i-th added target, which is then rotated to its
+    /// sorted position, so the row is sorted after every replacement.
     // Invariant-backed: the `expect` messages state why each cannot fire.
     #[allow(clippy::expect_used)]
     fn patch_in_place(&mut self) {
-        let per_node = self.per_node_delta();
-        for (&node, (removed, added)) in &per_node {
-            debug_assert_eq!(removed.len(), added.len(), "patch must preserve degrees");
-            let row = self.front.row_mut(node);
-            let mut slots = Vec::with_capacity(removed.len());
-            for target in removed {
-                let slot = row
-                    .binary_search(target)
+        for group in self.delta.chunk_by(|a, b| a.0 == b.0) {
+            let row = self.front.row_mut(group[0].0);
+            let mut added = group.iter().filter(|e| e.2 > 0).map(|e| e.1);
+            for &(_, removed, _) in group.iter().filter(|e| e.2 < 0) {
+                let target = added
+                    .next()
+                    .expect("degree-preserving rows pair every removal");
+                let from = row
+                    .binary_search(&removed)
                     .expect("staged removal must exist in the committed row");
-                slots.push(slot);
+                let to = row.partition_point(|&t| t < target);
+                if to > from {
+                    row[from..to].rotate_left(1);
+                    row[to - 1] = target;
+                } else {
+                    row[to..=from].rotate_right(1);
+                    row[to] = target;
+                }
             }
-            for (slot, &target) in slots.into_iter().zip(added.iter()) {
-                row[slot] = target;
-            }
-            row.sort_unstable();
         }
-        self.pending_add.clear();
-        self.pending_remove.clear();
         debug_assert!(self.front.check_invariants().is_ok());
     }
 }

@@ -713,10 +713,12 @@ impl Simulation {
                     // parallelises across chunks.
                     let reports =
                         batch.run_until_converged(steps_per_epoch, max_epochs, epsilon, 1)?;
-                    let mutations = batch.mutations();
                     Ok(reports
                         .iter()
-                        .map(|r| TrialResult::from_convergence(r, mutations))
+                        .enumerate()
+                        .map(|(r, report)| {
+                            TrialResult::from_convergence(report, batch.replica_mutations(r))
+                        })
                         .collect::<Vec<_>>())
                 };
                 match run() {
@@ -1059,10 +1061,10 @@ impl Simulation {
             churn_seed,
         )?;
         let reports = batch.run_until_converged(steps_per_epoch, max_epochs, epsilon)?;
-        let mutations = batch.mutations();
         Ok(reports
             .iter()
-            .map(|r| TrialResult::from_convergence(r, mutations))
+            .enumerate()
+            .map(|(r, report)| TrialResult::from_convergence(report, batch.replica_mutations(r)))
             .collect())
     }
 }
@@ -1248,18 +1250,12 @@ mod tests {
             assert_eq!(trial.converged, reference.converged);
         }
         // Chunking never changes dynamic results either (shared churn
-        // stream per scenario). `mutations` is chunk metadata — how long
-        // the trial's chunk kept churning — so it is excluded here.
+        // stream per scenario), per-trial `mutations` included: each
+        // trial records the count at its own retirement boundary.
         let mut solo = spec.clone();
         solo.batch = 1;
         let again = Simulation::from_spec(&solo).unwrap().run().unwrap();
-        let strip = |trials: &[TrialResult]| {
-            trials
-                .iter()
-                .map(|t| TrialResult { mutations: 0, ..*t })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&again.trials), strip(&report.trials));
+        assert_eq!(again.trials, report.trials);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * rewiring churn preserves the edge count and respects its degree
 //!   floor;
 //! * the logical edge view and the committed CSR always agree after a
-//!   commit.
+//!   commit, also when an epoch stages mutations that cancel out (an
+//!   edge removed and re-added, or added, removed and added again).
 //!
 //! The graph-instance strategy mirrors `tests/kernel_prop.rs` so every
 //! generator family is exercised.
@@ -19,7 +20,7 @@
 use opinion_dynamics::graph::{generators, ChurnModel, CommitOutcome, DynamicGraph, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Number of graph families covered; kept in sync with [`build_graph`].
 const FAMILIES: usize = 17;
@@ -221,6 +222,51 @@ proptest! {
                 return Err(TestCaseError::fail(format!("epoch {epoch}: {e}")));
             }
             assert_csr_matches_logical(&dg)?;
+        }
+    }
+
+    /// Cancellations inside one epoch: a present edge removed and
+    /// re-added, and an absent pair added, removed and added again, mixed
+    /// with swaps before and after. Staging does not search for the
+    /// cancelled pairs; the commit must still produce exactly the CSR a
+    /// from-scratch construction of the logical edge list gives, and
+    /// leave nothing staged.
+    #[test]
+    fn cancelled_mutations_commit_like_a_rebuild(
+        family in 0usize..FAMILIES,
+        size in 4usize..24,
+        graph_seed in 0u64..1000,
+        churn_seed in 0u64..u64::MAX,
+        epochs in 1u64..6,
+    ) {
+        let mut dg = DynamicGraph::new(build_graph(family, size, graph_seed));
+        let swap = ChurnModel::edge_swap(3);
+        let mut rng = StdRng::seed_from_u64(churn_seed);
+        let n = dg.n() as u32;
+        for epoch in 0..epochs {
+            // remove -> add alone is no change at all.
+            let (a, b) = dg.edge_at(rng.gen_range(0..dg.m()));
+            prop_assert!(dg.remove_edge(a, b).unwrap());
+            prop_assert!(dg.add_edge(a, b).unwrap());
+            prop_assert!(!dg.is_dirty(), "remove -> add left the graph dirty");
+            swap.apply(&mut dg, epoch, &mut rng).unwrap();
+            let (a, b) = dg.edge_at(rng.gen_range(0..dg.m()));
+            prop_assert!(dg.remove_edge(a, b).unwrap());
+            prop_assert!(dg.add_edge(a, b).unwrap());
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !dg.has_edge(u, v) {
+                prop_assert!(dg.add_edge(u, v).unwrap());
+                prop_assert!(dg.remove_edge(v, u).unwrap());
+                prop_assert!(dg.add_edge(u, v).unwrap());
+            }
+            swap.apply(&mut dg, epoch, &mut rng).unwrap();
+            dg.commit();
+            if let Err(e) = dg.graph().check_invariants() {
+                return Err(TestCaseError::fail(format!("epoch {epoch}: {e}")));
+            }
+            let reference = Graph::from_edges(dg.n(), dg.edges()).unwrap();
+            prop_assert_eq!(dg.graph(), &reference, "epoch {}", epoch);
+            prop_assert!(!dg.is_dirty(), "commit left staged mutations behind");
         }
     }
 }
