@@ -19,6 +19,12 @@
 //!   benchmark workload, `swap512_patch` and `swap2048_patch` check that
 //!   an epoch's staging + commit cost is linear in its swap count (O(Δ),
 //!   plus the O(Δ log Δ) sort of the delta).
+//! * `dynamic/churned_torus128` — the two kernels `churn_converge` spends
+//!   its time in, on a 128×128 torus scrambled by 32 epochs of 512 swaps
+//!   (its heads are no longer row-local, unlike the unchurned graphs of
+//!   `step/edge_model`): `boundary16` is one epoch-boundary (φ, M)
+//!   evaluation of 16 replicas, `edge_16384steps` one replica's epoch of
+//!   EdgeModel steps.
 //!
 //! CI runs this target in smoke mode (`--sample-size 2`); the committed
 //! `BENCH_dynamic.json` medians come from a full run with `OD_BENCH_JSON`
@@ -26,7 +32,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
-use od_core::{DynamicStepKernel, EdgeModelParams, KernelSpec, NodeModelParams};
+use od_core::{
+    DynamicReplicaBatch, DynamicStepKernel, EdgeModelParams, KernelSpec, NodeModelParams,
+    StepKernel,
+};
 use od_graph::{generators, ChurnModel, DynamicGraph, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -182,10 +191,47 @@ fn churn_commit_only(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `churn_converge` benchmark workload's torus after 32 epochs of its
+/// 512-swap churn: same degrees, scrambled rows.
+fn churned_torus128() -> DynamicGraph {
+    let mut dg = DynamicGraph::new(generators::torus(128, 128).unwrap());
+    let churn = ChurnModel::edge_swap(512);
+    let mut rng = StdRng::seed_from_u64(6);
+    for epoch in 0..32 {
+        churn.apply(&mut dg, epoch, &mut rng).unwrap();
+        dg.commit();
+    }
+    dg
+}
+
+fn churned_torus_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dynamic/churned_torus128");
+    let dg = churned_torus128();
+    let n = dg.n();
+    let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
+    // A zero-epoch converge run is exactly one boundary evaluation of
+    // every replica (ε = 0 retires none of the ±1 rows).
+    group.bench_function("boundary16", |b| {
+        let seeds: Vec<u64> = (0..16).collect();
+        let mut batch =
+            DynamicReplicaBatch::new(dg.clone(), spec, &pm_one(n), &seeds, ChurnModel::Static, 0)
+                .unwrap();
+        b.iter(|| batch.run_until_converged(0, 0, 0.0, 1).unwrap());
+    });
+    group.bench_function("edge_16384steps", |b| {
+        let graph = dg.graph().clone();
+        let mut kernel = StepKernel::new(&graph, pm_one(n), spec).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| kernel.step_many(16_384, &mut rng));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     dynamic_node_epochs,
     dynamic_edge_epochs,
-    churn_commit_only
+    churn_commit_only,
+    churned_torus_kernels
 );
 criterion_main!(benches);

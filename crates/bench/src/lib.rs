@@ -1,6 +1,7 @@
 //! Shared fixtures for the Criterion benchmarks.
 //!
-//! Bench groups map to the experiment index of `DESIGN.md` §4:
+//! Bench groups map to the experiment IDs of `run_experiments --list`
+//! (README.md, § Experiments; targets in § Benchmarks):
 //!
 //! | bench target        | experiments covered            |
 //! |---------------------|--------------------------------|

@@ -27,7 +27,7 @@ use crate::kernel::{
     compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
     run_steps, run_voter_block_parallel, run_voter_steps_tracked, slice_average,
     slice_potential_pi, slice_weighted_average, swap_rows, BlockCheck, BlockOutcome, KernelSpec,
-    PotentialTracker,
+    PiWeights, PotentialTracker,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -220,15 +220,12 @@ impl<'g> ReplicaBatch<'g> {
         let check_every = config.resolved_check_every(n);
         let threads = config.resolved_threads();
         let exact = config.stop == StopRule::Exact;
-        let pi: Vec<f64> = if exact {
-            graph.stationary_distribution()
-        } else {
-            Vec::new()
-        };
+        let weights = PiWeights::new(graph);
+        let pi = weights.pi();
         let mut trackers: Vec<PotentialTracker> = if exact {
             (0..r_total)
                 .map(|r| {
-                    PotentialTracker::new(&pi, &self.values[r * n..(r + 1) * n], config.potential)
+                    PotentialTracker::new(pi, &self.values[r * n..(r + 1) * n], config.potential)
                 })
                 .collect()
         } else {
@@ -237,12 +234,13 @@ impl<'g> ReplicaBatch<'g> {
         let check = if exact {
             BlockCheck::Tracked {
                 epsilon: config.epsilon,
-                pi: &pi,
+                pi,
             }
         } else {
             BlockCheck::Boundary {
                 epsilon: config.epsilon,
                 kind: config.potential,
+                weights: &weights,
             }
         };
         let mut slot_replica: Vec<usize> = (0..r_total).collect();

@@ -34,9 +34,9 @@ use crate::kernel::{
     compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
     run_steps, run_voter_epoch_parallel, run_voter_steps, run_voter_steps_tracked, slice_average,
     slice_potential_pi, slice_weighted_average, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec,
+    BlockOutcome, KernelSpec, PiWeights,
 };
-use od_graph::{ChurnModel, DynamicGraph, Graph, NodeId};
+use od_graph::{ChurnModel, CommitOutcome, DynamicGraph, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -47,21 +47,23 @@ use rand::{RngCore, SeedableRng};
 /// least one neighbour).
 ///
 /// Degree-preserving churn (edge swaps) skips the O(n) revalidation —
-/// the preconditions held before, so they still hold.
+/// the preconditions held before, so they still hold. Returns the number
+/// of elementary mutations and the commit's route (which tells callers
+/// caching per-degree data whether the degree sequence moved).
 pub(crate) fn churn_epoch(
     graph: &mut DynamicGraph,
     churn: &ChurnModel,
     churn_rng: &mut StdRng,
     epoch: u64,
     spec: Option<KernelSpec>,
-) -> Result<u64, CoreError> {
+) -> Result<(u64, CommitOutcome), CoreError> {
     if churn.is_static() {
-        return Ok(0);
+        return Ok((0, CommitOutcome::Unchanged));
     }
     let applied = churn
         .apply(graph, epoch, churn_rng)
         .map_err(CoreError::ChurnFailed)?;
-    graph.commit();
+    let outcome = graph.commit();
     if !churn.preserves_degrees() {
         match spec {
             Some(spec) => {
@@ -77,7 +79,7 @@ pub(crate) fn churn_epoch(
             }
         }
     }
-    Ok(applied as u64)
+    Ok((applied as u64, outcome))
 }
 
 /// [`StepKernel`](crate::StepKernel) over an evolving topology.
@@ -223,7 +225,7 @@ impl DynamicStepKernel {
             rng,
         );
         self.time += steps;
-        let applied = churn_epoch(
+        let (applied, _) = churn_epoch(
             &mut self.graph,
             &self.churn,
             &mut self.churn_rng,
@@ -367,7 +369,7 @@ impl DynamicVoterKernel {
     ) -> Result<u64, CoreError> {
         run_voter_steps(self.graph.graph(), &mut self.opinions, steps, rng);
         self.time += steps;
-        let applied = churn_epoch(
+        let (applied, _) = churn_epoch(
             &mut self.graph,
             &self.churn,
             &mut self.churn_rng,
@@ -408,6 +410,9 @@ pub struct DynamicReplicaBatch {
     rngs: Vec<StdRng>,
     sample: Vec<NodeId>,
     perm: Vec<u32>,
+    /// π weights of the committed topology, refreshed whenever a commit
+    /// changes the degree sequence.
+    weights: PiWeights,
     time: u64,
     epoch: u64,
     mutations: u64,
@@ -441,6 +446,7 @@ impl DynamicReplicaBatch {
         }
         let (sample, perm) = spec.scratch(graph.graph());
         Ok(DynamicReplicaBatch {
+            weights: PiWeights::new(graph.graph()),
             graph,
             spec,
             churn,
@@ -539,13 +545,26 @@ impl DynamicReplicaBatch {
             );
         }
         self.time += steps;
-        let applied = churn_epoch(
+        self.churn()
+    }
+
+    /// One churn epoch of the shared topology ([`churn_epoch`]), keeping
+    /// the cached π weights in step with the committed degree sequence:
+    /// edge swaps (`Patched`) keep it, `Shifted`/`Rebuilt` commits move
+    /// it. A failed epoch may already have committed, so it refreshes too.
+    fn churn(&mut self) -> Result<u64, CoreError> {
+        let churned = churn_epoch(
             &mut self.graph,
             &self.churn,
             &mut self.churn_rng,
             self.epoch,
             Some(self.spec),
-        )?;
+        );
+        match churned {
+            Ok((_, CommitOutcome::Unchanged | CommitOutcome::Patched)) => {}
+            _ => self.weights.refresh(self.graph.graph()),
+        }
+        let (applied, _) = churned?;
         self.epoch += 1;
         self.mutations += applied;
         Ok(applied)
@@ -619,6 +638,7 @@ impl DynamicReplicaBatch {
                 &BlockCheck::Boundary {
                     epsilon,
                     kind: crate::engine::PotentialKind::Pi,
+                    weights: &self.weights,
                 },
                 n,
                 &mut self.values,
@@ -665,20 +685,10 @@ impl DynamicReplicaBatch {
             );
             self.time += steps_per_epoch;
             t_call += steps_per_epoch;
-            match churn_epoch(
-                &mut self.graph,
-                &self.churn,
-                &mut self.churn_rng,
-                self.epoch,
-                Some(spec),
-            ) {
-                Ok(applied) => {
-                    self.epoch += 1;
-                    epochs += 1;
-                    self.mutations += applied;
-                }
-                Err(err) => break Err(err),
+            if let Err(err) = self.churn() {
+                break Err(err);
             }
+            epochs += 1;
         };
 
         let values = &mut self.values;
@@ -903,7 +913,7 @@ impl DynamicVoterBatch {
             );
         }
         self.time += steps;
-        let applied = churn_epoch(
+        let (applied, _) = churn_epoch(
             &mut self.graph,
             &self.churn,
             &mut self.churn_rng,
@@ -1009,7 +1019,7 @@ impl DynamicVoterBatch {
                 self.epoch,
                 None,
             ) {
-                Ok(applied) => {
+                Ok((applied, _)) => {
                     self.epoch += 1;
                     epochs += 1;
                     self.mutations += applied;
@@ -1293,6 +1303,52 @@ mod tests {
             }
             assert!(reports.iter().all(|r| r.converged), "scenario converges");
         }
+    }
+
+    #[test]
+    fn boundary_weights_follow_degree_changing_commits() {
+        // Rewires move degrees (`Shifted` commits). The boundary (φ, M)
+        // read through the cached π weights must stay bit-identical to
+        // the on-demand evaluation on the post-churn topology; stale
+        // weights would change M and φ.
+        let g = generators::torus(6, 6).unwrap();
+        let xi0: Vec<f64> = (0..36).map(|i| (f64::from(i) * 0.9).cos()).collect();
+        let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
+        let seeds = [3u64, 4, 5, 6, 7];
+        let mut batch = DynamicReplicaBatch::new(
+            DynamicGraph::new(g),
+            spec,
+            &xi0,
+            &seeds,
+            ChurnModel::rewire(4, 2),
+            31,
+        )
+        .unwrap();
+        let assert_boundary_matches =
+            |batch: &DynamicReplicaBatch, reports: &[ConvergenceReport]| {
+                for (r, report) in reports.iter().enumerate() {
+                    let (phi, mu) = crate::kernel::slice_potential_and_mean(
+                        batch.graph(),
+                        batch.replica_values(r),
+                    );
+                    assert_eq!(report.potential.to_bits(), phi.to_bits(), "replica {r}");
+                    assert_eq!(
+                        report.weighted_average.to_bits(),
+                        mu.to_bits(),
+                        "replica {r}"
+                    );
+                }
+            };
+        // Degrees moved by `step_epoch`; a zero-epoch run is one boundary
+        // evaluation of the committed topology (ε = 0 retires nobody).
+        batch.step_epoch(40).unwrap();
+        assert_eq!(batch.dynamic_graph().shifted_patches(), 1);
+        let reports = batch.run_until_converged(0, 0, 0.0, 1).unwrap();
+        assert_boundary_matches(&batch, &reports);
+        // Degrees moved by the converge loop's own epochs.
+        let reports = batch.run_until_converged(40, 5, 0.0, 2).unwrap();
+        assert_eq!(batch.dynamic_graph().shifted_patches(), 6);
+        assert_boundary_matches(&batch, &reports);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 use crate::engine::PotentialKind;
 use crate::error::CoreError;
 use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
-use crate::sampling::sample_k_neighbors;
+use crate::sampling::{push_k_neighbors, sample_k_neighbors};
 use crate::state::REFRESH_INTERVAL;
-use od_graph::{Graph, NodeId};
+use od_graph::{DirectedEdge, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
@@ -61,11 +61,12 @@ impl KernelSpec {
     }
 
     /// Scratch capacity needed so that stepping never reallocates: `k`
-    /// sample slots, plus a `d_max` permutation for the dense regime.
+    /// sample slots for each of a schedule pass's [`SCHEDULE`] selections,
+    /// plus a `d_max` permutation for the dense regime.
     pub(crate) fn scratch(&self, graph: &Graph) -> (Vec<NodeId>, Vec<u32>) {
         match self {
             KernelSpec::Node(params) => (
-                Vec::with_capacity(params.k()),
+                Vec::with_capacity(SCHEDULE * params.k()),
                 if params.k() > 1 {
                     Vec::with_capacity(graph.max_degree())
                 } else {
@@ -171,16 +172,55 @@ fn weighted_pull_target(
     }
 }
 
+/// Selections drawn per schedule pass of [`run_steps`]: enough to keep
+/// many independent value loads in flight during the apply pass, few
+/// enough that the schedule buffer stays in L1.
+const SCHEDULE: usize = 64;
+
+/// The schedule pass of [`run_steps`]: draws selections with `draw` until
+/// `buf` holds [`SCHEDULE`] of them or the `left` step budget runs out,
+/// spending one budget unit (and, when `lazy`, one coin flip first) per
+/// step exactly as the per-step loop did. Returns the number drawn.
+#[inline(always)]
+fn schedule<S, R: RngCore + ?Sized>(
+    buf: &mut [S; SCHEDULE],
+    left: &mut u64,
+    lazy: bool,
+    rng: &mut R,
+    mut draw: impl FnMut(&mut R) -> S,
+) -> usize {
+    let mut len = 0;
+    while len < SCHEDULE && *left > 0 {
+        *left -= 1;
+        if lazy && rng.gen_bool(0.5) {
+            continue;
+        }
+        buf[len] = draw(rng);
+        len += 1;
+    }
+    len
+}
+
 /// Advances `steps` steps of `spec` over `values`, drawing all randomness
 /// from `rng`. The model dispatch and parameter reads are hoisted out of
 /// the loop; `sample`/`perm` are caller-owned scratch so the loop performs
 /// zero heap allocation once the buffers are at capacity.
 ///
-/// This is the one inner loop shared by [`StepKernel`] and
-/// [`crate::ReplicaBatch`]; its per-step arithmetic mirrors the scalar
-/// `NodeModel`/`EdgeModel` implementations expression-for-expression.
+/// This is the one untracked inner loop shared by [`StepKernel`],
+/// [`crate::ReplicaBatch`] and the dynamic batches; its per-step
+/// arithmetic mirrors the scalar `NodeModel`/`EdgeModel` implementations
+/// expression-for-expression.
 ///
-/// Weighted graphs take dedicated loop bodies (gated once, outside the
+/// **Schedule first.** No RNG draw ever reads `values` (the selection
+/// sequence χ(t) is exogenous — the coupling behind Prop. 5.1), so each
+/// round first *schedules* up to [`SCHEDULE`] selections — the node and
+/// its `k` samples, or the directed edge — making the same RNG calls in
+/// the same order as a per-step loop, and then *applies* them in order.
+/// The apply pass knows every address up front, so its value loads
+/// overlap instead of waiting behind the RNG and CSR reads; values and
+/// RNG state are bit-identical to the per-step loop by construction.
+///
+/// Weighted graphs take dedicated apply bodies (gated once, outside the
 /// step loop, on [`Graph::is_weighted`]) built from
 /// [`weighted_sample_mean`] / [`weighted_pull_target`]; unit-weight
 /// weighted graphs reproduce the unweighted expressions bit-for-bit, and
@@ -194,33 +234,38 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
     steps: u64,
     rng: &mut R,
 ) {
+    let mut left = steps;
     match spec {
         KernelSpec::Node(params) => {
             let n = graph.n();
             let alpha = params.alpha();
             let k = params.k();
             let lazy = params.laziness() == Laziness::Lazy;
-            if graph.is_weighted() {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
+            let weighted = graph.is_weighted();
+            let mut nodes = [0 as NodeId; SCHEDULE];
+            while left > 0 {
+                // Node `nodes[i]`'s k samples are `sample[i*k..(i+1)*k]`.
+                sample.clear();
+                let len = schedule(&mut nodes, &mut left, lazy, rng, |rng| {
+                    let u = rng.gen_range(0..n) as NodeId;
+                    push_k_neighbors(graph.neighbors(u), k, sample, perm, rng);
+                    u
+                });
+                let picks = nodes[..len].iter().zip(sample.chunks_exact(k));
+                if weighted {
+                    for (&u, drawn) in picks {
+                        if let Some(mean) = weighted_sample_mean(graph, u, drawn, values) {
+                            let u = u as usize;
+                            values[u] = alpha * values[u] + (1.0 - alpha) * mean;
+                        }
                     }
-                    let u = rng.gen_range(0..n);
-                    sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
-                    if let Some(mean) = weighted_sample_mean(graph, u as NodeId, sample, values) {
+                } else {
+                    for (&u, drawn) in picks {
+                        let u = u as usize;
+                        let mean = drawn.iter().map(|&v| values[v as usize]).sum::<f64>()
+                            / drawn.len() as f64;
                         values[u] = alpha * values[u] + (1.0 - alpha) * mean;
                     }
-                }
-            } else {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let u = rng.gen_range(0..n);
-                    sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
-                    let mean = sample.iter().map(|&v| values[v as usize]).sum::<f64>()
-                        / sample.len() as f64;
-                    values[u] = alpha * values[u] + (1.0 - alpha) * mean;
                 }
             }
         }
@@ -228,28 +273,33 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
             let two_m = graph.directed_edge_count();
             let alpha = params.alpha();
             let lazy = params.laziness() == Laziness::Lazy;
+            let unset = DirectedEdge { tail: 0, head: 0 };
             if let Some(weights) = graph.weight_slice() {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let slot = rng.gen_range(0..two_m);
-                    let edge = graph.directed_edge(slot);
-                    if let Some(target) =
-                        weighted_pull_target(graph, weights, slot, edge.tail, edge.head, values)
-                    {
-                        values[edge.tail as usize] =
-                            alpha * values[edge.tail as usize] + (1.0 - alpha) * target;
+                let mut picks = [(0usize, unset); SCHEDULE];
+                while left > 0 {
+                    let len = schedule(&mut picks, &mut left, lazy, rng, |rng| {
+                        let slot = rng.gen_range(0..two_m);
+                        (slot, graph.directed_edge(slot))
+                    });
+                    for &(slot, edge) in &picks[..len] {
+                        if let Some(target) =
+                            weighted_pull_target(graph, weights, slot, edge.tail, edge.head, values)
+                        {
+                            values[edge.tail as usize] =
+                                alpha * values[edge.tail as usize] + (1.0 - alpha) * target;
+                        }
                     }
                 }
             } else {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
+                let mut edges = [unset; SCHEDULE];
+                while left > 0 {
+                    let len = schedule(&mut edges, &mut left, lazy, rng, |rng| {
+                        graph.directed_edge(rng.gen_range(0..two_m))
+                    });
+                    for edge in &edges[..len] {
+                        values[edge.tail as usize] = alpha * values[edge.tail as usize]
+                            + (1.0 - alpha) * values[edge.head as usize];
                     }
-                    let edge = graph.directed_edge(rng.gen_range(0..two_m));
-                    values[edge.tail as usize] = alpha * values[edge.tail as usize]
-                        + (1.0 - alpha) * values[edge.head as usize];
                 }
             }
         }
@@ -291,11 +341,64 @@ pub(crate) fn slice_potential_pi(graph: &Graph, values: &[f64]) -> f64 {
 
 /// [`slice_potential_pi`] fused with its first pass: returns `(φ, M)`
 /// where `M` is the weighted mean used as gauge, so block-boundary checks
-/// get the `F` estimate for free. The width-1 case of
-/// [`slice_potentials_and_means`].
+/// get the `F` estimate for free. The on-demand, one-row evaluation that
+/// reads the weights off the graph; the block runners' grouped sweep over
+/// cached weights ([`slice_potentials_and_means`]) is bit-identical to it.
 pub(crate) fn slice_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f64) {
-    let [pm] = slice_potentials_and_means(graph, [values]);
-    pm
+    let total = graph.total_weight();
+    let mu = slice_weighted_average(graph, values);
+    let phi = values
+        .iter()
+        .enumerate()
+        .map(|(u, &x)| {
+            let c = x - mu;
+            graph.row_weight_sum(u as NodeId) / total * c * c
+        })
+        .sum::<f64>()
+        .max(0.0);
+    (phi, mu)
+}
+
+/// The π weights of one committed degree (or strength) sequence, cached
+/// for the block-boundary `(φ, M)` sweeps: node `u`'s row weight sum
+/// `s_u` and its stationary mass `s_u / W_tot`, plus `W_tot` itself — the
+/// exact values [`slice_potential_and_mean`] derives per node. Whoever
+/// owns the topology computes them once per degree sequence: static
+/// batches and windows once per run (their exact-mode trackers read the
+/// same `π`), dynamic batches again only after a commit that changed
+/// degrees (`Shifted` or `Rebuilt`; edge swaps keep them).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PiWeights {
+    total: f64,
+    strength: Vec<f64>,
+    pi: Vec<f64>,
+}
+
+impl PiWeights {
+    /// The weights of `graph`'s current rows.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let mut weights = PiWeights::default();
+        weights.refresh(graph);
+        weights
+    }
+
+    /// The stationary distribution `π_u = s_u / W_tot` — bit-identical to
+    /// [`Graph::stationary_distribution`].
+    pub(crate) fn pi(&self) -> &[f64] {
+        &self.pi
+    }
+
+    /// Recomputes the weights for `graph`'s current rows, reusing the
+    /// buffers.
+    pub(crate) fn refresh(&mut self, graph: &Graph) {
+        let total = graph.total_weight();
+        let strength = (0..graph.n()).map(|u| graph.row_weight_sum(u as NodeId));
+        self.strength.clear();
+        self.strength.extend(strength);
+        self.pi.clear();
+        self.pi.extend(self.strength.iter().map(|s| s / total));
+        self.total = total;
+    }
 }
 
 /// Replicas per grouped boundary evaluation
@@ -303,35 +406,31 @@ pub(crate) fn slice_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f
 /// hide the float-add latency, few enough rows to stay in cache together.
 const PHI_GROUP: usize = 4;
 
-/// `(φ, M)` of `W` value rows on one graph in a single sweep over the
-/// nodes, for the block-boundary check of `W` replicas at once.
+/// `(φ, M)` of `W` value rows in a single sweep over the nodes, for the
+/// block-boundary check of `W` replicas at once.
 ///
 /// A one-row evaluation is a chain of dependent float adds, so it runs
 /// at the add latency; `W` rows give `W` independent chains per node.
 /// Each row keeps its own accumulators, summed in node order from the
-/// same `-0.0` start as `Iterator::sum`, and every term is the historical
-/// expression (`s_u · ξ_u` for `M`, `(s_u / W_tot) · c · c` for `φ`), so
-/// each result is bit-identical to evaluating its row alone. The shared
-/// per-node weight `s_u / W_tot` is computed once per node, and the total
-/// weight once per call.
+/// same `-0.0` start as `Iterator::sum`, and every term is the
+/// [`slice_potential_and_mean`] expression (`s_u · ξ_u` for `M`,
+/// `(s_u / W_tot) · c · c` for `φ`) with its weights read from the cache,
+/// so each result is bit-identical to evaluating its row alone.
 pub(crate) fn slice_potentials_and_means<const W: usize>(
-    graph: &Graph,
+    weights: &PiWeights,
     rows: [&[f64]; W],
 ) -> [(f64, f64); W] {
-    let n = graph.n();
+    let n = weights.strength.len();
     let rows = rows.map(|row| &row[..n]);
-    let total = graph.total_weight();
     let mut sums = [-0.0f64; W];
-    for u in 0..n {
-        let s = graph.row_weight_sum(u as NodeId);
+    for (u, s) in weights.strength.iter().enumerate() {
         for (sum, row) in sums.iter_mut().zip(&rows) {
             *sum += s * row[u];
         }
     }
-    let mus = sums.map(|sum| sum / total);
+    let mus = sums.map(|sum| sum / weights.total);
     let mut phis = [-0.0f64; W];
-    for u in 0..n {
-        let w = graph.row_weight_sum(u as NodeId) / total;
+    for (u, w) in weights.pi.iter().enumerate() {
         for ((phi, row), mu) in phis.iter_mut().zip(&rows).zip(&mus) {
             let c = row[u] - mu;
             *phi += w * c * c;
@@ -691,6 +790,9 @@ pub(crate) enum BlockCheck<'a> {
         epsilon: f64,
         /// Which potential is thresholded (`φ` or `φ̄_V`).
         kind: PotentialKind,
+        /// The π weights of the topology being stepped (read by the `φ`
+        /// arm only).
+        weights: &'a PiWeights,
     },
     /// Tracked O(1) per-step check — the scalar-identical stopping rule.
     Tracked {
@@ -749,7 +851,7 @@ fn converge_replica_block(
 /// weighted average and convergence flag. π potentials of up to
 /// [`PHI_GROUP`] rows share one sweep ([`slice_potentials_and_means`]).
 fn boundary_check(
-    graph: &Graph,
+    weights: &PiWeights,
     epsilon: f64,
     kind: PotentialKind,
     n: usize,
@@ -762,7 +864,7 @@ fn boundary_check(
         outcome.converged = potential <= eps;
     }
     fn grouped<const W: usize>(
-        graph: &Graph,
+        weights: &PiWeights,
         eps: f64,
         n: usize,
         values: &[f64],
@@ -771,7 +873,7 @@ fn boundary_check(
         let rows = std::array::from_fn(|r| &values[r * n..(r + 1) * n]);
         for (outcome, pm) in outcomes
             .iter_mut()
-            .zip(slice_potentials_and_means::<W>(graph, rows))
+            .zip(slice_potentials_and_means::<W>(weights, rows))
         {
             record(outcome, pm, eps);
         }
@@ -784,10 +886,10 @@ fn boundary_check(
                 record(outcome, slice_potential_uniform_and_mean(row), epsilon);
             }
         }
-        (PotentialKind::Pi, 1) => grouped::<1>(graph, epsilon, n, values, outcomes),
-        (PotentialKind::Pi, 2) => grouped::<2>(graph, epsilon, n, values, outcomes),
-        (PotentialKind::Pi, 3) => grouped::<3>(graph, epsilon, n, values, outcomes),
-        (PotentialKind::Pi, _) => grouped::<PHI_GROUP>(graph, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, 1) => grouped::<1>(weights, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, 2) => grouped::<2>(weights, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, 3) => grouped::<3>(weights, epsilon, n, values, outcomes),
+        (PotentialKind::Pi, _) => grouped::<PHI_GROUP>(weights, epsilon, n, values, outcomes),
     }
 }
 
@@ -824,9 +926,14 @@ fn run_replica_range(
                 &mut rngs[slot],
             );
         }
-        if let BlockCheck::Boundary { epsilon, kind } = *check {
+        if let BlockCheck::Boundary {
+            epsilon,
+            kind,
+            weights,
+        } = *check
+        {
             let rows = &values[first * n..(first + group.len()) * n];
-            boundary_check(graph, epsilon, kind, n, rows, group);
+            boundary_check(weights, epsilon, kind, n, rows, group);
         }
     }
 }
@@ -1397,27 +1504,133 @@ mod tests {
         ));
     }
 
-    /// The historical one-row `(φ, M)` evaluation, written out with
-    /// `Iterator::sum`: the reference the grouped sweep must match.
-    fn one_row_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f64) {
-        let total = graph.total_weight();
-        let weight = |u: usize| graph.row_weight_sum(u as NodeId);
-        let mu = values
-            .iter()
-            .enumerate()
-            .map(|(u, &x)| weight(u) * x)
-            .sum::<f64>()
-            / total;
-        let phi = values
-            .iter()
-            .enumerate()
-            .map(|(u, &x)| {
-                let c = x - mu;
-                weight(u) / total * c * c
+    /// The per-step loop `run_steps` replaced: one selection drawn and
+    /// applied per step. The schedule-first loop must reproduce its values
+    /// and its RNG state bit for bit.
+    fn run_steps_per_step(
+        graph: &Graph,
+        spec: KernelSpec,
+        values: &mut [f64],
+        steps: u64,
+        rng: &mut StdRng,
+    ) {
+        let (mut sample, mut perm) = spec.scratch(graph);
+        match spec {
+            KernelSpec::Node(params) => {
+                let alpha = params.alpha();
+                for _ in 0..steps {
+                    if params.laziness() == Laziness::Lazy && rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    let u = rng.gen_range(0..graph.n());
+                    let row = graph.neighbors(u as NodeId);
+                    sample_k_neighbors(row, params.k(), &mut sample, &mut perm, rng);
+                    let mean = if graph.is_weighted() {
+                        match weighted_sample_mean(graph, u as NodeId, &sample, values) {
+                            Some(mean) => mean,
+                            None => continue,
+                        }
+                    } else {
+                        sample.iter().map(|&v| values[v as usize]).sum::<f64>()
+                            / sample.len() as f64
+                    };
+                    values[u] = alpha * values[u] + (1.0 - alpha) * mean;
+                }
+            }
+            KernelSpec::Edge(params) => {
+                let alpha = params.alpha();
+                for _ in 0..steps {
+                    if params.laziness() == Laziness::Lazy && rng.gen_bool(0.5) {
+                        continue;
+                    }
+                    let slot = rng.gen_range(0..graph.directed_edge_count());
+                    let edge = graph.directed_edge(slot);
+                    let target = match graph.weight_slice() {
+                        Some(weights) => match weighted_pull_target(
+                            graph, weights, slot, edge.tail, edge.head, values,
+                        ) {
+                            Some(target) => target,
+                            None => continue,
+                        },
+                        None => values[edge.head as usize],
+                    };
+                    let tail = edge.tail as usize;
+                    values[tail] = alpha * values[tail] + (1.0 - alpha) * target;
+                }
+            }
+        }
+    }
+
+    /// A wheel (hub of degree 12, rim of degree 3) with three chords:
+    /// `d_min = 3`, so k = 2 hits the dense sampler on the rim and the
+    /// rejection sampler on the hub, and k = d_min adds the copy regime.
+    /// Returned plain, with unit weights, and with non-unit weights
+    /// (some zero, so the no-update arms run too).
+    fn sampler_regime_graphs() -> [Graph; 3] {
+        let mut edges: Vec<(NodeId, NodeId)> = (1..=12).map(|v| (0, v)).collect();
+        edges.extend((1..=12).map(|v| (v, v % 12 + 1)));
+        edges.extend([(1, 5), (2, 8), (3, 10)]);
+        let plain = Graph::from_edges(13, &edges).unwrap();
+        let mut unit = plain.clone();
+        unit.attach_weights(&vec![1.0; plain.m()]).unwrap();
+        let mut weighted = plain.clone();
+        let weights: Vec<f64> = (0..plain.m())
+            .map(|e| {
+                if e % 5 == 2 {
+                    0.0
+                } else {
+                    0.25 + (e % 4) as f64 * 0.5
+                }
             })
-            .sum::<f64>()
-            .max(0.0);
-        (phi, mu)
+            .collect();
+        weighted.attach_weights(&weights).unwrap();
+        [plain, unit, weighted]
+    }
+
+    #[test]
+    fn schedule_first_steps_match_per_step_reference() {
+        let graphs = sampler_regime_graphs();
+        let d_min = graphs[0].min_degree();
+        assert_eq!(d_min, 3);
+        let xi0: Vec<f64> = (0..13).map(|i| (f64::from(i) * 0.7).sin() * 2.0).collect();
+        let mut specs = Vec::new();
+        for laziness in [Laziness::Active, Laziness::Lazy] {
+            for k in [1, 2, d_min] {
+                let params = NodeModelParams::new(0.3, k).unwrap();
+                specs.push(KernelSpec::Node(params.with_laziness(laziness)));
+            }
+            let params = EdgeModelParams::new(0.3).unwrap();
+            specs.push(KernelSpec::Edge(params.with_laziness(laziness)));
+        }
+        for graph in &graphs {
+            for &spec in &specs {
+                for steps in [0u64, 1, 63, 64, 65, 197] {
+                    let seed = 1_000 + steps;
+                    let mut expected = xi0.clone();
+                    let mut reference_rng = StdRng::seed_from_u64(seed);
+                    run_steps_per_step(graph, spec, &mut expected, steps, &mut reference_rng);
+                    let mut values = xi0.clone();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let (mut sample, mut perm) = spec.scratch(graph);
+                    run_steps(
+                        graph,
+                        spec,
+                        &mut values,
+                        &mut sample,
+                        &mut perm,
+                        steps,
+                        &mut rng,
+                    );
+                    assert_bits_identical(&expected, &values);
+                    assert_eq!(
+                        reference_rng.state(),
+                        rng.state(),
+                        "{spec:?} steps {steps} weighted {}",
+                        graph.is_weighted()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1431,12 +1644,14 @@ mod tests {
         weighted.attach_weights(&weights).unwrap();
         let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
         let eps = 0.3;
-        let check = BlockCheck::Boundary {
-            epsilon: eps,
-            kind: PotentialKind::Pi,
-        };
         for graph in [&plain, &weighted] {
             let n = graph.n();
+            let weights = PiWeights::new(graph);
+            let check = BlockCheck::Boundary {
+                epsilon: eps,
+                kind: PotentialKind::Pi,
+                weights: &weights,
+            };
             // Every group remainder: 1..=9 live replicas, inline and on
             // two workers (whose ranges split the groups differently).
             for live in 1..=9usize {
@@ -1461,7 +1676,7 @@ mod tests {
                     );
                     for (r, outcome) in outcomes.iter().enumerate() {
                         let row = &values[r * n..(r + 1) * n];
-                        let (phi, mu) = one_row_potential_and_mean(graph, row);
+                        let (phi, mu) = slice_potential_and_mean(graph, row);
                         assert_eq!(
                             outcome.potential.to_bits(),
                             phi.to_bits(),
@@ -1469,7 +1684,6 @@ mod tests {
                         );
                         assert_eq!(outcome.weighted_average.to_bits(), mu.to_bits());
                         assert_eq!(outcome.converged, phi <= eps);
-                        assert_eq!(slice_potential_and_mean(graph, row), (phi, mu));
                     }
                 }
             }

@@ -913,7 +913,7 @@ impl DynamicLaneReplicaBatch {
             steps,
         );
         self.time += steps;
-        let applied = churn_epoch(
+        let (applied, _) = churn_epoch(
             &mut self.graph,
             &self.churn,
             &mut self.churn_rng,

@@ -36,8 +36,25 @@ pub(crate) fn sample_k_neighbors<R: RngCore + ?Sized>(
     perm: &mut Vec<u32>,
     rng: &mut R,
 ) {
-    let d = neighbors.len();
     sample.clear();
+    push_k_neighbors(neighbors, k, sample, perm, rng);
+}
+
+/// [`sample_k_neighbors`] without the clear: appends the `k` sampled
+/// neighbours behind whatever `sample` already holds, with the same regime
+/// dispatch and the same RNG draws (the rejection regime's duplicate check
+/// only looks at the appended tail). The schedule pass of the kernels
+/// lays a whole block's samples out back to back this way.
+#[inline]
+pub(crate) fn push_k_neighbors<R: RngCore + ?Sized>(
+    neighbors: &[NodeId],
+    k: usize,
+    sample: &mut Vec<NodeId>,
+    perm: &mut Vec<u32>,
+    rng: &mut R,
+) {
+    let d = neighbors.len();
+    let start = sample.len();
     debug_assert!(k <= d);
     if k == d {
         sample.extend_from_slice(neighbors);
@@ -46,9 +63,9 @@ pub(crate) fn sample_k_neighbors<R: RngCore + ?Sized>(
     } else if 3 * k <= d {
         // Sparse case: rejection sampling; expected O(k) candidate
         // draws, duplicate check linear in k (k is small here).
-        while sample.len() < k {
+        while sample.len() - start < k {
             let candidate = neighbors[rng.gen_range(0..d)];
-            if !sample.contains(&candidate) {
+            if !sample[start..].contains(&candidate) {
                 sample.push(candidate);
             }
         }

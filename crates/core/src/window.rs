@@ -31,7 +31,7 @@ use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
 use crate::kernel::{
     compact_retired, run_replica_block_parallel, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec, PotentialTracker, TrackerState,
+    BlockOutcome, KernelSpec, PiWeights, PotentialTracker, TrackerState,
 };
 
 /// A fixed-capacity streaming convergence window, advanced block round by
@@ -49,7 +49,9 @@ pub struct ConvergeWindow<'g> {
     check_every: u64,
     threads: usize,
     exact: bool,
-    pi: Vec<f64>,
+    /// The graph's π weights: the exact trackers' `π` and the boundary
+    /// check's per-node weights.
+    weights: PiWeights,
     /// Replica-major `capacity × n` value storage (live prefix in use).
     values: Vec<f64>,
     rngs: Vec<StdRng>,
@@ -102,11 +104,7 @@ impl<'g> ConvergeWindow<'g> {
             check_every: config.resolved_check_every(n),
             threads: config.resolved_threads(),
             exact,
-            pi: if exact {
-                graph.stationary_distribution()
-            } else {
-                Vec::new()
-            },
+            weights: PiWeights::new(graph),
             config,
             values: vec![0.0f64; capacity * n],
             rngs: Vec::with_capacity(capacity),
@@ -153,8 +151,11 @@ impl<'g> ConvergeWindow<'g> {
                 self.rngs.push(rng);
             }
             if self.exact {
-                let tracker =
-                    PotentialTracker::new(&self.pi, &self.values[row], self.config.potential);
+                let tracker = PotentialTracker::new(
+                    self.weights.pi(),
+                    &self.values[row],
+                    self.config.potential,
+                );
                 if slot < self.trackers.len() {
                     self.trackers[slot] = tracker;
                 } else {
@@ -182,12 +183,13 @@ impl<'g> ConvergeWindow<'g> {
         let check = if self.exact {
             BlockCheck::Tracked {
                 epsilon: self.config.epsilon,
-                pi: &self.pi,
+                pi: self.weights.pi(),
             }
         } else {
             BlockCheck::Boundary {
                 epsilon: self.config.epsilon,
                 kind: self.config.potential,
+                weights: &self.weights,
             }
         };
         run_replica_block_parallel(

@@ -16,7 +16,8 @@
 //! `lower = [(μ0−μ+) + d(μ1−μ+)]·‖ξ‖² = 2(1−α)(d−k)·ℓ·‖ξ‖²`, with
 //! `ℓ ≠ 1/(n²(3dk+d−3k))` in general. We implement the μ-based envelope
 //! (which is what Eqs. (23)/(25) actually derive) and validate it
-//! empirically in experiment P58; `EXPERIMENTS.md` records the discrepancy.
+//! empirically in experiment P58, whose table prints both envelopes side by
+//! side (README.md, § Experiments, runs it).
 
 use crate::error::DualError;
 use crate::qchain::QChain;

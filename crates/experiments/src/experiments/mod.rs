@@ -1,5 +1,5 @@
 //! One module per experiment family; the mapping to paper results lives in
-//! [`crate::registry`] and `DESIGN.md` §4.
+//! [`crate::registry`] (README.md, § Experiments).
 
 pub mod comparison;
 pub mod convergence;

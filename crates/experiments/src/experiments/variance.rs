@@ -156,7 +156,8 @@ pub fn edge_variance(ctx: &ExperimentContext) -> Vec<Table> {
 /// P58: the exact quadratic-form prediction against high-trial Monte
 /// Carlo, including the Θ-envelope and the `k = 1` fully closed form.
 /// Also prints the paper-printed envelope constants next to the μ-based
-/// ones (documenting the constant discrepancy; see `EXPERIMENTS.md`).
+/// ones (documenting the constant discrepancy; see the `od_dual::variance`
+/// module docs).
 pub fn exact_prediction(ctx: &ExperimentContext) -> Vec<Table> {
     let trials = ctx.trials(12_000, 1_500);
     let alpha = 0.5;

@@ -3,8 +3,8 @@
 //!
 //! The paper is a theory paper: its "evaluation" is a set of theorems,
 //! lemmas and two worked figures. Each gets a quantitative experiment here
-//! (see `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for
-//! paper-vs-measured records). Run them with:
+//! (see [`registry`] for the index and README.md, § Experiments, for how
+//! to run them and where their tables land). Run them with:
 //!
 //! ```text
 //! cargo run --release -p od-experiments --bin run-experiments -- --all
@@ -69,7 +69,8 @@ pub struct Experiment {
     pub run: fn(&ExperimentContext) -> Vec<Table>,
 }
 
-/// The registry of all experiments, in the order of `DESIGN.md` §4.
+/// The registry of all experiments, in the order `run_experiments --list`
+/// prints them (README.md, § Experiments).
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {

@@ -148,6 +148,8 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 pub struct MemoCache {
     dir: Option<PathBuf>,
     map: Mutex<HashMap<String, Arc<StoredCell>>>,
+    /// `.cell` files the preload could not read or parse.
+    skipped: usize,
 }
 
 impl MemoCache {
@@ -161,14 +163,16 @@ impl MemoCache {
     }
 
     /// An empty in-memory cache, or — with `dir` — a persistent one
-    /// preloaded with every `.cell` file already in the directory
-    /// (malformed files are skipped, not fatal).
+    /// preloaded with every `.cell` file already in the directory.
+    /// Unreadable or malformed files are skipped, not fatal, and counted
+    /// ([`MemoCache::skipped`]).
     ///
     /// # Errors
     ///
     /// IO errors creating or scanning the directory.
     pub fn new(dir: Option<PathBuf>) -> io::Result<MemoCache> {
         let mut map = HashMap::new();
+        let mut skipped = 0;
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
             for entry in std::fs::read_dir(dir)? {
@@ -176,17 +180,28 @@ impl MemoCache {
                 if path.extension().and_then(|e| e.to_str()) != Some("cell") {
                     continue;
                 }
-                if let Ok(text) = std::fs::read_to_string(&path) {
-                    if let Ok((key, cell)) = StoredCell::from_text(&text) {
+                let loaded = std::fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|text| StoredCell::from_text(&text).ok());
+                match loaded {
+                    Some((key, cell)) => {
                         map.insert(key, Arc::new(cell));
                     }
+                    None => skipped += 1,
                 }
             }
         }
         Ok(MemoCache {
             dir,
             map: Mutex::new(map),
+            skipped,
         })
+    }
+
+    /// Number of `.cell` files the preload skipped as unreadable or
+    /// malformed.
+    pub fn skipped(&self) -> usize {
+        self.skipped
     }
 
     /// The cached cell for `key`, if any.
@@ -329,6 +344,27 @@ mod tests {
         // bit-exact comparison.
         assert_eq!(got.to_text(key), cell().to_text(key));
         assert!(reloaded.get("other key\n").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn preload_counts_corrupt_cell_files() {
+        let dir = std::env::temp_dir().join(format!("od-serve-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (good, bad) = ("model voter\ngraph complete n=8\nseed 3\n", "seed 4\n");
+        {
+            let cache = MemoCache::new(Some(dir.clone())).unwrap();
+            assert_eq!(cache.skipped(), 0);
+            cache.insert(good, cell());
+            cache.insert(bad, cell());
+        }
+        let path = dir.join(format!("{}.cell", key_stem(bad)));
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        let reloaded = MemoCache::new(Some(dir.clone())).unwrap();
+        assert_eq!(reloaded.skipped(), 1);
+        assert_eq!(reloaded.len(), 1);
+        assert!(reloaded.get(good).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! PING                        → PONG
-//! STATS                       → STATS cells_run=… cache_hits=… cache_entries=… steps=…
+//! STATS                       → STATS cells_run=… cache_hits=… cache_entries=… steps=… cache_skipped=…
 //! SUBMIT <len>\n<len bytes>   → OK cells=… distinct_graphs=… crn=…
 //!                               ROW <csv row>            (per trial, cell order)
 //!                               CELL <idx> …             (per cell summary)

@@ -195,11 +195,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
         } else if command == "STATS" {
             writeln!(
                 writer,
-                "STATS cells_run={} cache_hits={} cache_entries={} steps={}",
+                "STATS cells_run={} cache_hits={} cache_entries={} steps={} cache_skipped={}",
                 shared.stats.cells_run.load(Ordering::SeqCst),
                 shared.stats.cache_hits.load(Ordering::SeqCst),
                 shared.cache.len(),
                 shared.stats.steps.load(Ordering::SeqCst),
+                shared.cache.skipped(),
             )?;
         } else if command == "SHUTDOWN" {
             writeln!(writer, "BYE")?;

@@ -231,6 +231,44 @@ fn persistent_cache_survives_a_restart() {
 }
 
 #[test]
+fn truncated_cell_file_is_counted_not_fatal() {
+    let dir = temp_dir("truncated");
+    {
+        let server = Server::start(ServerConfig {
+            workers: 2,
+            checkpoint_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(&server);
+        client.submit(SWEEP);
+        assert_eq!(stat(&client.command("STATS"), "cache_skipped"), 0);
+    }
+    let cell = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|e| e == "cell"))
+        .expect("a persisted cell");
+    let text = std::fs::read_to_string(&cell).unwrap();
+    std::fs::write(&cell, &text[..text.len() / 2]).unwrap();
+    // The daemon still starts, keeps the intact cell and reports the
+    // truncated one.
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        checkpoint_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    assert_eq!(server.cache_entries(), 1);
+    let mut client = Client::connect(&server);
+    let stats = client.command("STATS");
+    assert_eq!(stat(&stats, "cache_skipped"), 1);
+    assert_eq!(stat(&stats, "cache_entries"), 1);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn interrupted_cell_resumes_from_its_window_checkpoint() {
     // Reference: the response a daemon produces running the cell from
     // scratch.

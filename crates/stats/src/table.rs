@@ -1,8 +1,9 @@
 //! Result tables: aligned plain-text, CSV, and Markdown output.
 //!
 //! Every experiment in `od-experiments` emits one or more [`Table`]s; the
-//! plain-text form goes to stdout, the Markdown form into `EXPERIMENTS.md`,
-//! and the CSV form next to it for downstream plotting.
+//! plain-text form goes to stdout, the Markdown and CSV forms into
+//! `results/<ID>_<i>.{md,csv}` for downstream plotting (README.md,
+//! § Experiments).
 
 use std::fmt::Write as _;
 

@@ -1,7 +1,7 @@
 //! End-to-end smoke test: every registered experiment runs in quick mode
 //! and produces non-empty tables. This is the same code path the
-//! `run-experiments` binary uses, so the EXPERIMENTS.md pipeline is fully
-//! covered by `cargo test`.
+//! `run-experiments` binary uses, so the pipeline behind README.md's
+//! § Experiments is fully covered by `cargo test`.
 
 use od_experiments::{registry, ExperimentContext};
 
