@@ -1494,6 +1494,133 @@ mod tests {
         }
     }
 
+    /// Field-by-field equality with floats compared by their bits (`NaN`
+    /// potentials of voter trials included).
+    fn assert_trials_bit_identical(got: &[TrialResult], want: &[TrialResult], context: &str) {
+        assert_eq!(got.len(), want.len(), "{context}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.steps, w.steps, "{context}: trial {i} steps");
+            assert_eq!(g.converged, w.converged, "{context}: trial {i} converged");
+            assert_eq!(
+                g.potential.to_bits(),
+                w.potential.to_bits(),
+                "{context}: trial {i} potential"
+            );
+            assert_eq!(
+                g.estimate.to_bits(),
+                w.estimate.to_bits(),
+                "{context}: trial {i} estimate"
+            );
+            assert_eq!(g.winner, w.winner, "{context}: trial {i} winner");
+            assert_eq!(g.mutations, w.mutations, "{context}: trial {i} mutations");
+        }
+    }
+
+    /// Runs `spec` under several chunk sizes and thread counts, checking
+    /// the engine label and every trial against `want`.
+    fn assert_runs_match(spec: &ScenarioSpec, engine: Engine, want: &[TrialResult]) {
+        for (batch, threads) in [(0usize, 1usize), (2, 1), (3, 2), (1, 3)] {
+            let mut run_spec = spec.clone();
+            run_spec.batch = batch;
+            run_spec.threads = threads;
+            let report = Simulation::from_spec(&run_spec).unwrap().run().unwrap();
+            assert_eq!(report.engine, engine);
+            assert_trials_bit_identical(
+                &report.trials,
+                want,
+                &format!("{engine} batch {batch} threads {threads}"),
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_horizon_arms_match_direct_engines() {
+        // StaticSteps: one `ReplicaBatch::step_many` over every seed.
+        let mut spec = converge_spec();
+        spec.graph = GraphSpec::Torus { rows: 4, cols: 5 };
+        spec.replicas = 7;
+        spec.stop = StopSpec::Steps { steps: 3_000 };
+        let sim = Simulation::from_spec(&spec).unwrap();
+        let mut batch =
+            ReplicaBatch::new(sim.graph(), sim.kernel_spec(), &sim.xi0, &sim.trial_seeds())
+                .unwrap();
+        batch.step_many(3_000);
+        let want: Vec<TrialResult> = (0..spec.replicas)
+            .map(|r| TrialResult {
+                steps: 3_000,
+                converged: false,
+                potential: batch.replica_potential_pi(r),
+                estimate: batch.replica_weighted_average(r),
+                winner: None,
+                mutations: 0,
+            })
+            .collect();
+        assert_runs_match(&spec, Engine::StaticSteps, &want);
+
+        // DynamicSteps: whole epochs of `DynamicReplicaBatch::step_epoch`
+        // under degree-changing churn (the π weights move with the graph).
+        spec.churn = Some(ChurnSpec {
+            model: ChurnModelSpec::Rewire {
+                rewires: 2,
+                min_degree: 2,
+            },
+            steps_per_epoch: 20,
+            seed: 31,
+        });
+        spec.stop = StopSpec::Steps { steps: 20 * 40 };
+        let sim = Simulation::from_spec(&spec).unwrap();
+        let (churn, spe, churn_seed) = sim.churn_parts();
+        let mut batch = DynamicReplicaBatch::new(
+            DynamicGraph::new(sim.graph().clone()),
+            sim.kernel_spec(),
+            &sim.xi0,
+            &sim.trial_seeds(),
+            churn,
+            churn_seed,
+        )
+        .unwrap();
+        for _ in 0..40 {
+            batch.step_epoch(spe).unwrap();
+        }
+        assert!(batch.mutations() > 0);
+        let want: Vec<TrialResult> = (0..spec.replicas)
+            .map(|r| TrialResult {
+                steps: 20 * 40,
+                converged: false,
+                potential: batch.replica_potential_pi(r),
+                estimate: batch.replica_weighted_average(r),
+                winner: None,
+                mutations: batch.mutations(),
+            })
+            .collect();
+        assert_runs_match(&spec, Engine::DynamicSteps, &want);
+
+        // VoterSteps: `VoterBatch::step_many`; a short horizon leaves some
+        // trials at consensus and some not.
+        let mut spec = ScenarioSpec::new(ModelSpec::Voter, GraphSpec::Complete { n: 6 }, 30);
+        spec.replicas = 9;
+        spec.seed = 17;
+        spec.init = InitSpec::Opinions { levels: 2 };
+        let sim = Simulation::from_spec(&spec).unwrap();
+        let mut batch = VoterBatch::new(sim.graph(), &sim.opinions0, &sim.trial_seeds()).unwrap();
+        batch.step_many(30);
+        let want: Vec<TrialResult> = (0..spec.replicas)
+            .map(|r| {
+                let consensus = batch.replica_is_consensus(r);
+                TrialResult {
+                    steps: 30,
+                    converged: consensus,
+                    potential: f64::NAN,
+                    estimate: f64::NAN,
+                    winner: consensus.then(|| batch.replica_opinions(r)[0]),
+                    mutations: 0,
+                }
+            })
+            .collect();
+        assert!(want.iter().any(|t| t.converged) && want.iter().any(|t| !t.converged));
+        assert_runs_match(&spec, Engine::VoterSteps, &want);
+    }
+
     fn sync_spec(model: ModelSpec) -> ScenarioSpec {
         let mut spec = ScenarioSpec::new(model, GraphSpec::Cycle { n: 9 }, 0);
         spec.init = InitSpec::Linear { lo: 0.0, hi: 8.0 };
