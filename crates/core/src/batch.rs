@@ -19,20 +19,19 @@
 //!
 //! [`StepKernel`]: crate::StepKernel
 
+use crate::driver::{
+    Averaging, AveragingDriver, Budget, Driver, Stop, Topology, Voter, VoterDriver,
+};
 use crate::engine::{
     resolve_check_every, resolve_threads, ConvergeConfig, ConvergenceReport, StopRule,
 };
 use crate::error::CoreError;
 use crate::kernel::{
-    compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
-    run_steps, run_voter_block_parallel, run_voter_steps_tracked, slice_average,
-    slice_potential_pi, slice_weighted_average, swap_rows, BlockCheck, BlockOutcome, KernelSpec,
-    PiWeights, PotentialTracker,
+    count_discordant_edges, slice_average, slice_potential_pi, slice_weighted_average,
+    validate_opinions, KernelSpec, PiWeights, PotentialTracker,
 };
 use crate::voter::VoterReport;
-use od_graph::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use od_graph::Graph;
 
 /// `R` independent replicas of one averaging scenario (see the module
 /// docs).
@@ -58,14 +57,9 @@ use rand::SeedableRng;
 #[derive(Debug, Clone)]
 pub struct ReplicaBatch<'g> {
     graph: &'g Graph,
-    spec: KernelSpec,
-    n: usize,
-    /// Replica-major `R × n` value storage: replica `r` occupies
-    /// `values[r*n .. (r+1)*n]`.
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
-    sample: Vec<NodeId>,
-    perm: Vec<u32>,
+    kind: Averaging,
+    /// The replica-major `R × n` values, step RNGs and loop state.
+    driver: AveragingDriver,
     time: u64,
 }
 
@@ -84,20 +78,10 @@ impl<'g> ReplicaBatch<'g> {
     ) -> Result<Self, CoreError> {
         // Validate once through the kernel constructor, then replicate.
         let kernel = crate::StepKernel::new(graph, xi0.to_vec(), spec)?;
-        let n = xi0.len();
-        let mut values = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            values.extend_from_slice(kernel.values());
-        }
-        let (sample, perm) = spec.scratch(graph);
         Ok(ReplicaBatch {
             graph,
-            spec,
-            n,
-            values,
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
-            sample,
-            perm,
+            kind: Averaging::new(spec, PiWeights::default()),
+            driver: Driver::batch(kernel.values(), seeds, Vec::new(), Default::default()),
             time: 0,
         })
     }
@@ -109,17 +93,17 @@ impl<'g> ReplicaBatch<'g> {
 
     /// The model spec.
     pub fn spec(&self) -> KernelSpec {
-        self.spec
+        self.kind.spec
     }
 
     /// Number of replicas `R`.
     pub fn replicas(&self) -> usize {
-        self.rngs.len()
+        self.driver.replicas()
     }
 
     /// Nodes per replica.
     pub fn n(&self) -> usize {
-        self.n
+        self.driver.n
     }
 
     /// Steps the batch has been driven so far. Identical for every replica
@@ -133,7 +117,7 @@ impl<'g> ReplicaBatch<'g> {
 
     /// The full replica-major `R × n` value storage.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        &self.driver.rows
     }
 
     /// Replica `r`'s value vector.
@@ -142,8 +126,7 @@ impl<'g> ReplicaBatch<'g> {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_values(&self, r: usize) -> &[f64] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.values[r * self.n..(r + 1) * self.n]
+        self.driver.row(r)
     }
 
     /// Advances every replica by `steps` steps.
@@ -153,17 +136,7 @@ impl<'g> ReplicaBatch<'g> {
     /// so the result is independent of replica order and count. Performs
     /// no heap allocation.
     pub fn step_many(&mut self, steps: u64) {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_steps(
-                self.graph,
-                self.spec,
-                &mut self.values[r * self.n..(r + 1) * self.n],
-                &mut self.sample,
-                &mut self.perm,
-                steps,
-                rng,
-            );
-        }
+        self.driver.step_all(&self.kind, self.graph, steps);
         self.time += steps;
     }
 
@@ -209,97 +182,24 @@ impl<'g> ReplicaBatch<'g> {
         config: ConvergeConfig,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
         config.validate()?;
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![ConvergenceReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
-        let graph = self.graph;
-        let spec = self.spec;
-        let check_every = config.resolved_check_every(n);
-        let threads = config.resolved_threads();
+        let kind = &mut self.kind;
+        (kind.epsilon, kind.potential) = (config.epsilon, config.potential);
+        kind.weights.refresh(self.graph);
         let exact = config.stop == StopRule::Exact;
-        let weights = PiWeights::new(graph);
-        let pi = weights.pi();
-        let mut trackers: Vec<PotentialTracker> = if exact {
-            (0..r_total)
-                .map(|r| {
-                    PotentialTracker::new(pi, &self.values[r * n..(r + 1) * n], config.potential)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let check = if exact {
-            BlockCheck::Tracked {
-                epsilon: config.epsilon,
-                pi,
-            }
-        } else {
-            BlockCheck::Boundary {
-                epsilon: config.epsilon,
-                kind: config.potential,
-                weights: &weights,
-            }
-        };
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut blocks = vec![0u64; r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        // The first pass is a zero-step block: the scalar rule checks φ
-        // before the first step, so already-converged replicas retire
-        // with zero steps.
-        let mut block = 0u64;
-        loop {
-            blocks[..live].fill(block);
-            run_replica_block_parallel(
-                graph,
-                spec,
-                &check,
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = ConvergenceReport {
-                    steps: t_call + outcome.steps,
-                    converged: outcome.converged,
-                    potential: outcome.potential,
-                    weighted_average: outcome.weighted_average,
-                };
-            }
-            t_call += block;
-            let values = &mut self.values;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-                if exact {
-                    trackers.swap(a, b);
-                }
-            });
-            if live == 0 || t_call >= config.max_steps {
-                break;
-            }
-            block = check_every.min(config.max_steps - t_call);
+        if exact {
+            let driver = &self.driver;
+            let trackers = (0..driver.replicas())
+                .map(|r| PotentialTracker::new(kind.weights.pi(), driver.row(r), config.potential))
+                .collect();
+            self.driver.extra = trackers;
         }
-        self.time += t_call;
-
-        // Put the storage back in canonical replica order.
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(values, n, a, b);
-            rngs.swap(a, b);
-        });
-        Ok(reports)
+        let stop = if exact { Stop::Tracked } else { Stop::Boundary };
+        let budget = Budget::steps(config.resolved_check_every(self.driver.n), config.max_steps);
+        let topology = &mut Topology::Static(self.graph);
+        let threads = config.resolved_threads();
+        let result = (self.driver).run(kind, topology, stop, budget, threads, &mut self.time);
+        self.driver.extra.clear();
+        result.map(|()| self.driver.reports.clone())
     }
 
     /// `Avg(t)` of replica `r`. O(n).
@@ -330,13 +230,10 @@ impl<'g> ReplicaBatch<'g> {
 #[derive(Debug, Clone)]
 pub struct VoterBatch<'g> {
     graph: &'g Graph,
-    n: usize,
-    /// Replica-major `R × n` opinion storage.
-    opinions: Vec<u32>,
-    /// Per-replica discordant-edge count (0 ⟺ consensus on a connected
-    /// graph).
-    discord: Vec<u64>,
-    rngs: Vec<StdRng>,
+    /// Replica-major `R × n` opinions, step RNGs, per-replica
+    /// discordant-edge counts (0 ⟺ consensus on a connected graph) and
+    /// loop state.
+    driver: VoterDriver,
     time: u64,
 }
 
@@ -356,36 +253,25 @@ impl<'g> VoterBatch<'g> {
             // reading compatible with the duality suite.
             return Err(CoreError::WeightedUnsupported { tier: "voter" });
         }
-        if !graph.is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions0.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions0.len(),
-                nodes: graph.n(),
-            });
-        }
-        let n = opinions0.len();
-        let mut opinions = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            opinions.extend_from_slice(opinions0);
-        }
+        validate_opinions(graph, opinions0)?;
         // All replicas start identical, so one O(m) scan seeds every
         // replica's incremental discordant-edge counter.
         let discord0 = count_discordant_edges(graph, opinions0);
+        let discords = vec![discord0; seeds.len()];
+        let report0 = VoterReport {
+            steps: 0,
+            winner: None,
+        };
         Ok(VoterBatch {
             graph,
-            n,
-            opinions,
-            discord: vec![discord0; seeds.len()],
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
+            driver: Driver::batch(opinions0, seeds, discords, report0),
             time: 0,
         })
     }
 
     /// Number of replicas `R`.
     pub fn replicas(&self) -> usize {
-        self.rngs.len()
+        self.driver.replicas()
     }
 
     /// Steps the batch has been driven so far (see
@@ -401,22 +287,13 @@ impl<'g> VoterBatch<'g> {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_opinions(&self, r: usize) -> &[u32] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.opinions[r * self.n..(r + 1) * self.n]
+        self.driver.row(r)
     }
 
     /// Advances every replica by `steps` voter steps, maintaining the
     /// per-replica discordant-edge counts as opinions flip.
     pub fn step_many(&mut self, steps: u64) {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_voter_steps_tracked(
-                self.graph,
-                &mut self.opinions[r * self.n..(r + 1) * self.n],
-                &mut self.discord[r],
-                steps,
-                rng,
-            );
-        }
+        self.driver.step_all(&Voter, self.graph, steps);
         self.time += steps;
     }
 
@@ -429,7 +306,7 @@ impl<'g> VoterBatch<'g> {
     /// Panics if `r >= replicas()`.
     pub fn replica_is_consensus(&self, r: usize) -> bool {
         assert!(r < self.replicas(), "replica {r} out of range");
-        self.discord[r] == 0
+        self.driver.extra[r] == 0
     }
 
     /// Number of edges whose endpoints disagree in replica `r`. O(1).
@@ -439,12 +316,12 @@ impl<'g> VoterBatch<'g> {
     /// Panics if `r >= replicas()`.
     pub fn replica_discordant_edges(&self, r: usize) -> u64 {
         assert!(r < self.replicas(), "replica {r} out of range");
-        self.discord[r]
+        self.driver.extra[r]
     }
 
     /// Nodes per replica.
     pub fn n(&self) -> usize {
-        self.n
+        self.driver.n
     }
 
     /// Drives every replica to consensus or to its per-replica step
@@ -467,71 +344,19 @@ impl<'g> VoterBatch<'g> {
         check_every: u64,
         threads: usize,
     ) -> Vec<VoterReport> {
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![
-            VoterReport {
-                steps: 0,
-                winner: None,
-            };
-            r_total
-        ];
-        if r_total == 0 {
-            return reports;
-        }
-        let graph = self.graph;
-        let check_every = resolve_check_every(check_every, n);
+        let budget = Budget::steps(resolve_check_every(check_every, self.driver.n), max_steps);
+        let topology = &mut Topology::Static(self.graph);
         let threads = resolve_threads(threads);
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        // Zero-step first pass: consensus is checked before the first
-        // step, mirroring the scalar driver.
-        let mut block = 0u64;
-        loop {
-            run_voter_block_parallel(
-                graph,
-                n,
-                &mut self.opinions,
-                &mut self.discord,
-                &mut self.rngs,
-                &mut outcomes[..live],
-                block,
-                threads,
-            );
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = VoterReport {
-                    steps: t_call + outcome.steps,
-                    winner: outcome.converged.then(|| self.opinions[slot * n]),
-                };
-            }
-            t_call += block;
-            let opinions = &mut self.opinions;
-            let discord = &mut self.discord;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(opinions, n, a, b);
-                discord.swap(a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || t_call >= max_steps {
-                break;
-            }
-            block = check_every.min(max_steps - t_call);
-        }
-        self.time += t_call;
-
-        let opinions = &mut self.opinions;
-        let discord = &mut self.discord;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(opinions, n, a, b);
-            discord.swap(a, b);
-            rngs.swap(a, b);
-        });
-        reports
+        let run = (self.driver).run(
+            &mut Voter,
+            topology,
+            Stop::Tracked,
+            budget,
+            threads,
+            &mut self.time,
+        );
+        debug_assert!(run.is_ok(), "a static topology has no fallible hook");
+        self.driver.reports.clone()
     }
 }
 
@@ -541,6 +366,7 @@ mod tests {
     use crate::window::run_converge_streaming;
     use crate::{NodeModel, NodeModelParams, OpinionProcess, StepKernel, VoterModel};
     use od_graph::generators;
+    use rand::SeedableRng;
 
     #[test]
     fn replicas_are_independent_scalar_runs() {

@@ -28,58 +28,94 @@
 //! [`StepKernel`]: crate::StepKernel
 //! [`VoterKernel`]: crate::VoterKernel
 
+use crate::driver::{
+    Averaging, AveragingDriver, Budget, Driver, Stop, Topology, Voter, VoterDriver,
+};
 use crate::engine::{resolve_threads, validate_epsilon, ConvergenceReport};
 use crate::error::CoreError;
 use crate::kernel::{
-    compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
-    run_steps, run_voter_epoch_parallel, run_voter_steps, run_voter_steps_tracked, slice_average,
-    slice_potential_pi, slice_weighted_average, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec, PiWeights,
+    count_discordant_edges, run_steps, run_voter_steps, slice_average, slice_potential_pi,
+    slice_weighted_average, validate_opinions, validate_values, KernelSpec, PiWeights,
 };
+use crate::voter::VoterReport;
 use od_graph::{ChurnModel, CommitOutcome, DynamicGraph, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Applies one epoch of churn, commits the delta into the CSR, and
-/// re-checks the sampling preconditions the kernels rely on. `spec` is
-/// `Some` for the averaging kernels (k ≤ d_min plus a non-empty edge set
-/// for the EdgeModel) and `None` for the voter path (every node needs at
-/// least one neighbour).
-///
-/// Degree-preserving churn (edge swaps) skips the O(n) revalidation —
-/// the preconditions held before, so they still hold. Returns the number
-/// of elementary mutations and the commit's route (which tells callers
-/// caching per-degree data whether the degree sequence moved).
-pub(crate) fn churn_epoch(
-    graph: &mut DynamicGraph,
-    churn: &ChurnModel,
-    churn_rng: &mut StdRng,
-    epoch: u64,
-    spec: Option<KernelSpec>,
-) -> Result<(u64, CommitOutcome), CoreError> {
-    if churn.is_static() {
-        return Ok((0, CommitOutcome::Unchanged));
+/// The evolving topology a dynamic kernel or batch owns: the dynamic
+/// graph, the churn model with its dedicated RNG, and the epoch and
+/// mutation counters.
+#[derive(Debug, Clone)]
+pub(crate) struct Environment {
+    pub(crate) graph: DynamicGraph,
+    pub(crate) churn: ChurnModel,
+    rng: StdRng,
+    /// Epoch boundaries crossed so far.
+    pub(crate) epoch: u64,
+    /// Total elementary topology mutations applied so far.
+    pub(crate) mutations: u64,
+}
+
+impl Environment {
+    /// Commits `graph`'s pending mutations and seeds the churn RNG with
+    /// `churn_seed`.
+    pub(crate) fn new(mut graph: DynamicGraph, churn: ChurnModel, churn_seed: u64) -> Self {
+        graph.commit();
+        Environment {
+            graph,
+            churn,
+            rng: StdRng::seed_from_u64(churn_seed),
+            epoch: 0,
+            mutations: 0,
+        }
     }
-    let applied = churn
-        .apply(graph, epoch, churn_rng)
-        .map_err(CoreError::ChurnFailed)?;
-    let outcome = graph.commit();
-    if !churn.preserves_degrees() {
-        match spec {
-            Some(spec) => {
-                spec.validate(graph.graph())?;
-                if graph.m() == 0 {
-                    return Err(CoreError::Disconnected);
-                }
-            }
-            None => {
-                if graph.graph().min_degree() == 0 {
-                    return Err(CoreError::InvalidSampleSize { k: 1, d_min: 0 });
+
+    /// The committed CSR.
+    pub(crate) fn graph(&self) -> &Graph {
+        self.graph.graph()
+    }
+
+    /// One epoch boundary: applies one epoch of churn, commits the delta
+    /// into the CSR, and re-checks the sampling preconditions the kernels
+    /// rely on — `spec` is `Some` for the averaging kernels (k ≤ d_min
+    /// plus a non-empty edge set for the EdgeModel) and `None` for the
+    /// voter path (every node needs at least one neighbour). The counters
+    /// advance only when the epoch succeeds.
+    ///
+    /// Degree-preserving churn (edge swaps) skips the O(n) revalidation —
+    /// the preconditions held before, so they still hold. Returns the
+    /// number of elementary mutations and the commit's route (which tells
+    /// callers caching per-degree data whether the degree sequence moved).
+    pub(crate) fn advance(
+        &mut self,
+        spec: Option<KernelSpec>,
+    ) -> Result<(u64, CommitOutcome), CoreError> {
+        let mut outcome = CommitOutcome::Unchanged;
+        let mut applied = 0;
+        if !self.churn.is_static() {
+            applied = (self.churn)
+                .apply(&mut self.graph, self.epoch, &mut self.rng)
+                .map_err(CoreError::ChurnFailed)? as u64;
+            outcome = self.graph.commit();
+            if !self.churn.preserves_degrees() {
+                match spec {
+                    Some(spec) => {
+                        spec.validate(self.graph())?;
+                        if self.graph.m() == 0 {
+                            return Err(CoreError::Disconnected);
+                        }
+                    }
+                    None if self.graph().min_degree() == 0 => {
+                        return Err(CoreError::InvalidSampleSize { k: 1, d_min: 0 });
+                    }
+                    None => {}
                 }
             }
         }
+        self.epoch += 1;
+        self.mutations += applied;
+        Ok((applied, outcome))
     }
-    Ok((applied as u64, outcome))
 }
 
 /// [`StepKernel`](crate::StepKernel) over an evolving topology.
@@ -112,16 +148,12 @@ pub(crate) fn churn_epoch(
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicStepKernel {
-    graph: DynamicGraph,
+    env: Environment,
     spec: KernelSpec,
-    churn: ChurnModel,
-    churn_rng: StdRng,
     values: Vec<f64>,
     sample: Vec<NodeId>,
     perm: Vec<u32>,
     time: u64,
-    epoch: u64,
-    mutations: u64,
 }
 
 impl DynamicStepKernel {
@@ -134,39 +166,35 @@ impl DynamicStepKernel {
     ///
     /// The same as [`crate::StepKernel::new`].
     pub fn new(
-        mut graph: DynamicGraph,
+        graph: DynamicGraph,
         initial_values: Vec<f64>,
         spec: KernelSpec,
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
-        graph.commit();
-        validate_values(graph.graph(), &initial_values)?;
-        spec.validate(graph.graph())?;
-        let (sample, perm) = spec.scratch(graph.graph());
+        let env = Environment::new(graph, churn, churn_seed);
+        validate_values(env.graph(), &initial_values)?;
+        spec.validate(env.graph())?;
+        let (sample, perm) = spec.scratch(env.graph());
         Ok(DynamicStepKernel {
-            graph,
+            env,
             spec,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
             values: initial_values,
             sample,
             perm,
             time: 0,
-            epoch: 0,
-            mutations: 0,
         })
     }
 
     /// The committed CSR the kernel is currently stepping over.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        self.env.graph()
     }
 
     /// The underlying dynamic graph (rebuild/patch counters, logical
     /// view).
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.env.graph
     }
 
     /// The model spec.
@@ -176,7 +204,7 @@ impl DynamicStepKernel {
 
     /// The churn model evolving the topology.
     pub fn churn(&self) -> &ChurnModel {
-        &self.churn
+        &self.env.churn
     }
 
     /// The current value vector `ξ(t)`.
@@ -191,12 +219,12 @@ impl DynamicStepKernel {
 
     /// Epoch boundaries crossed so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.env.epoch
     }
 
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
-        self.mutations
+        self.env.mutations
     }
 
     /// Advances one epoch: `steps` process steps on the frozen topology,
@@ -216,7 +244,7 @@ impl DynamicStepKernel {
         rng: &mut R,
     ) -> Result<u64, CoreError> {
         run_steps(
-            self.graph.graph(),
+            self.env.graph(),
             self.spec,
             &mut self.values,
             &mut self.sample,
@@ -225,16 +253,7 @@ impl DynamicStepKernel {
             rng,
         );
         self.time += steps;
-        let (applied, _) = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
+        Ok(self.env.advance(Some(self.spec))?.0)
     }
 
     /// Runs `epochs` epochs of `steps_per_epoch` steps each.
@@ -263,12 +282,12 @@ impl DynamicStepKernel {
     /// topology. O(n). Note that under degree-changing churn the weights
     /// move with the graph, so `M` is only a martingale within an epoch.
     pub fn weighted_average(&self) -> f64 {
-        slice_weighted_average(self.graph.graph(), &self.values)
+        slice_weighted_average(self.env.graph(), &self.values)
     }
 
     /// The potential `φ(ξ(t))` (Eq. 3) on the current topology. O(n).
     pub fn potential_pi(&self) -> f64 {
-        slice_potential_pi(self.graph.graph(), &self.values)
+        slice_potential_pi(self.env.graph(), &self.values)
     }
 
     /// Discrepancy `K = max ξ − min ξ`. O(n).
@@ -280,13 +299,9 @@ impl DynamicStepKernel {
 /// [`VoterKernel`](crate::VoterKernel) over an evolving topology.
 #[derive(Debug, Clone)]
 pub struct DynamicVoterKernel {
-    graph: DynamicGraph,
-    churn: ChurnModel,
-    churn_rng: StdRng,
+    env: Environment,
     opinions: Vec<u32>,
     time: u64,
-    epoch: u64,
-    mutations: u64,
 }
 
 impl DynamicVoterKernel {
@@ -297,40 +312,28 @@ impl DynamicVoterKernel {
     ///
     /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
     pub fn new(
-        mut graph: DynamicGraph,
+        graph: DynamicGraph,
         opinions: Vec<u32>,
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
-        graph.commit();
-        if !graph.graph().is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions.len(),
-                nodes: graph.n(),
-            });
-        }
+        let env = Environment::new(graph, churn, churn_seed);
+        validate_opinions(env.graph(), &opinions)?;
         Ok(DynamicVoterKernel {
-            graph,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
+            env,
             opinions,
             time: 0,
-            epoch: 0,
-            mutations: 0,
         })
     }
 
     /// The committed CSR the kernel is currently stepping over.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        self.env.graph()
     }
 
     /// The underlying dynamic graph.
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.env.graph
     }
 
     /// Current opinions.
@@ -345,12 +348,12 @@ impl DynamicVoterKernel {
 
     /// Epoch boundaries crossed so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.env.epoch
     }
 
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
-        self.mutations
+        self.env.mutations
     }
 
     /// Advances one epoch of `steps` voter steps, then churns. Returns
@@ -367,18 +370,9 @@ impl DynamicVoterKernel {
         steps: u64,
         rng: &mut R,
     ) -> Result<u64, CoreError> {
-        run_voter_steps(self.graph.graph(), &mut self.opinions, steps, rng);
+        run_voter_steps(self.env.graph(), &mut self.opinions, steps, rng);
         self.time += steps;
-        let (applied, _) = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            None,
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
+        Ok(self.env.advance(None)?.0)
     }
 
     /// Whether all nodes share one opinion. O(n).
@@ -400,25 +394,15 @@ impl DynamicVoterKernel {
 /// batch size.
 #[derive(Debug, Clone)]
 pub struct DynamicReplicaBatch {
-    graph: DynamicGraph,
-    spec: KernelSpec,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    n: usize,
-    /// Replica-major `R × n` value storage.
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
-    sample: Vec<NodeId>,
-    perm: Vec<u32>,
-    /// π weights of the committed topology, refreshed whenever a commit
-    /// changes the degree sequence.
-    weights: PiWeights,
+    env: Environment,
+    /// The spec plus the π weights of the committed topology, refreshed
+    /// whenever a commit changes the degree sequence.
+    kind: Averaging,
+    /// Replica-major `R × n` values, step RNGs and loop state; per
+    /// replica (original order), `mutations` at the boundary where it
+    /// last retired from `run_until_converged`.
+    driver: AveragingDriver,
     time: u64,
-    epoch: u64,
-    mutations: u64,
-    /// Per replica (original order): `mutations` at the boundary where
-    /// the replica last retired from `run_until_converged`.
-    retired_mutations: Vec<u64>,
 }
 
 impl DynamicReplicaBatch {
@@ -429,63 +413,47 @@ impl DynamicReplicaBatch {
     ///
     /// The same as [`crate::StepKernel::new`].
     pub fn new(
-        mut graph: DynamicGraph,
+        graph: DynamicGraph,
         spec: KernelSpec,
         xi0: &[f64],
         seeds: &[u64],
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
-        graph.commit();
-        validate_values(graph.graph(), xi0)?;
-        spec.validate(graph.graph())?;
-        let n = xi0.len();
-        let mut values = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            values.extend_from_slice(xi0);
-        }
-        let (sample, perm) = spec.scratch(graph.graph());
+        let env = Environment::new(graph, churn, churn_seed);
+        validate_values(env.graph(), xi0)?;
+        spec.validate(env.graph())?;
         Ok(DynamicReplicaBatch {
-            weights: PiWeights::new(graph.graph()),
-            graph,
-            spec,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            n,
-            values,
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
-            sample,
-            perm,
+            kind: Averaging::new(spec, PiWeights::new(env.graph())),
+            env,
+            driver: Driver::batch(xi0, seeds, Vec::new(), ConvergenceReport::default()),
             time: 0,
-            epoch: 0,
-            mutations: 0,
-            retired_mutations: vec![0; seeds.len()],
         })
     }
 
     /// The committed CSR shared by every replica.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        self.env.graph()
     }
 
     /// The underlying dynamic graph.
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.env.graph
     }
 
     /// The model spec.
     pub fn spec(&self) -> KernelSpec {
-        self.spec
+        self.kind.spec
     }
 
     /// Number of replicas `R`.
     pub fn replicas(&self) -> usize {
-        self.rngs.len()
+        self.driver.replicas()
     }
 
     /// Nodes per replica.
     pub fn n(&self) -> usize {
-        self.n
+        self.driver.n
     }
 
     /// Steps taken so far (common to all replicas).
@@ -495,12 +463,12 @@ impl DynamicReplicaBatch {
 
     /// Epoch boundaries crossed so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.env.epoch
     }
 
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
-        self.mutations
+        self.env.mutations
     }
 
     /// Elementary topology mutations the shared environment had applied
@@ -512,7 +480,7 @@ impl DynamicReplicaBatch {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_mutations(&self, r: usize) -> u64 {
-        self.retired_mutations[r]
+        self.driver.mutations[r]
     }
 
     /// Replica `r`'s value vector.
@@ -521,8 +489,7 @@ impl DynamicReplicaBatch {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_values(&self, r: usize) -> &[f64] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.values[r * self.n..(r + 1) * self.n]
+        self.driver.row(r)
     }
 
     /// Advances every replica by `steps` steps on the frozen topology,
@@ -533,41 +500,10 @@ impl DynamicReplicaBatch {
     ///
     /// See [`DynamicStepKernel::step_epoch`].
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_steps(
-                self.graph.graph(),
-                self.spec,
-                &mut self.values[r * self.n..(r + 1) * self.n],
-                &mut self.sample,
-                &mut self.perm,
-                steps,
-                rng,
-            );
-        }
+        self.driver.step_all(&self.kind, self.env.graph(), steps);
         self.time += steps;
-        self.churn()
-    }
-
-    /// One churn epoch of the shared topology ([`churn_epoch`]), keeping
-    /// the cached π weights in step with the committed degree sequence:
-    /// edge swaps (`Patched`) keep it, `Shifted`/`Rebuilt` commits move
-    /// it. A failed epoch may already have committed, so it refreshes too.
-    fn churn(&mut self) -> Result<u64, CoreError> {
-        let churned = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        );
-        match churned {
-            Ok((_, CommitOutcome::Unchanged | CommitOutcome::Patched)) => {}
-            _ => self.weights.refresh(self.graph.graph()),
-        }
-        let (applied, _) = churned?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
+        let replicas = self.driver.replicas();
+        self.driver.churn(&mut self.kind, &mut self.env, replicas)
     }
 
     /// Drives every replica to ε-convergence or to `max_epochs` epochs of
@@ -611,93 +547,20 @@ impl DynamicReplicaBatch {
         threads: usize,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
         validate_epsilon(epsilon)?;
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![ConvergenceReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
+        self.kind.epsilon = epsilon;
+        let topology = &mut Topology::Churned(&mut self.env);
+        let budget = Budget::epochs(steps_per_epoch, max_epochs);
         let threads = resolve_threads(threads);
-        let spec = self.spec;
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut blocks = vec![0u64; r_total];
-        let mut trackers = Vec::new(); // epoch-granular: no tracked state
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        let result = loop {
-            // Evaluate phi on the current committed topology (a zero-step
-            // block computes the boundary potential in parallel; on the
-            // first pass this is the entry check, afterwards the
-            // post-churn epoch-boundary check), record, retire + compact.
-            blocks[..live].fill(0);
-            run_replica_block_parallel(
-                self.graph.graph(),
-                spec,
-                &BlockCheck::Boundary {
-                    epsilon,
-                    kind: crate::engine::PotentialKind::Pi,
-                    weights: &self.weights,
-                },
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = ConvergenceReport {
-                    steps: t_call,
-                    converged: outcome.converged,
-                    potential: outcome.potential,
-                    weighted_average: outcome.weighted_average,
-                };
-                self.retired_mutations[slot_replica[slot]] = self.mutations;
-            }
-            let values = &mut self.values;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || epochs == max_epochs {
-                break Ok(());
-            }
-            // One epoch: step the live replicas on the frozen committed
-            // CSR, then churn + commit + revalidate, exactly as
-            // `step_epoch`.
-            blocks[..live].fill(steps_per_epoch);
-            run_replica_block_parallel(
-                self.graph.graph(),
-                spec,
-                &BlockCheck::None,
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            self.time += steps_per_epoch;
-            t_call += steps_per_epoch;
-            if let Err(err) = self.churn() {
-                break Err(err);
-            }
-            epochs += 1;
-        };
-
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(values, n, a, b);
-            rngs.swap(a, b);
-        });
-        result.map(|()| reports)
+        let kind = &mut self.kind;
+        (self.driver).run(
+            kind,
+            topology,
+            Stop::Boundary,
+            budget,
+            threads,
+            &mut self.time,
+        )?;
+        Ok(self.driver.reports.clone())
     }
 
     /// `Avg(t)` of replica `r`. O(n).
@@ -708,13 +571,13 @@ impl DynamicReplicaBatch {
     /// `M(t) = Σ π_u ξ_u(t)` of replica `r` on the current topology.
     /// O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        slice_weighted_average(self.graph.graph(), self.replica_values(r))
+        slice_weighted_average(self.env.graph(), self.replica_values(r))
     }
 
     /// The potential `φ(ξ(t))` (Eq. 3) of replica `r` on the current
     /// topology. O(n).
     pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        slice_potential_pi(self.graph.graph(), self.replica_values(r))
+        slice_potential_pi(self.env.graph(), self.replica_values(r))
     }
 }
 
@@ -747,22 +610,15 @@ pub struct DynamicVoterReport {
 /// The discord counter makes the per-epoch consensus check O(1) per
 /// replica instead of the former O(n) opinion scan; it is **recomputed
 /// at churn boundaries** (one O(m) sweep per live replica, only after an
-/// epoch whose churn actually mutated the topology), because moving
-/// edges invalidates the incremental count.
+/// epoch whose churn actually mutated the topology or failed), because
+/// moving edges invalidates the incremental count.
 #[derive(Debug, Clone)]
 pub struct DynamicVoterBatch {
-    graph: DynamicGraph,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    n: usize,
-    /// Replica-major `R × n` opinion storage.
-    opinions: Vec<u32>,
-    /// Per-replica discordant-edge count on the committed topology.
-    discords: Vec<u64>,
-    rngs: Vec<StdRng>,
+    env: Environment,
+    /// Replica-major `R × n` opinions, step RNGs, per-replica
+    /// discordant-edge counts on the committed topology, and loop state.
+    driver: VoterDriver,
     time: u64,
-    epoch: u64,
-    mutations: u64,
 }
 
 impl DynamicVoterBatch {
@@ -775,62 +631,46 @@ impl DynamicVoterBatch {
     ///
     /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
     pub fn new(
-        mut graph: DynamicGraph,
+        graph: DynamicGraph,
         opinions0: &[u32],
         seeds: &[u64],
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
-        graph.commit();
-        if !graph.graph().is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions0.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions0.len(),
-                nodes: graph.n(),
-            });
-        }
-        let n = opinions0.len();
-        let mut opinions = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            opinions.extend_from_slice(opinions0);
-        }
+        let env = Environment::new(graph, churn, churn_seed);
+        validate_opinions(env.graph(), opinions0)?;
         // All replicas start identical: one O(m) scan seeds every
         // incremental counter.
-        let discord0 = count_discordant_edges(graph.graph(), opinions0);
+        let discords = vec![count_discordant_edges(env.graph(), opinions0); seeds.len()];
+        let report0 = VoterReport {
+            steps: 0,
+            winner: None,
+        };
         Ok(DynamicVoterBatch {
-            graph,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            n,
-            opinions,
-            discords: vec![discord0; seeds.len()],
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
+            env,
+            driver: Driver::batch(opinions0, seeds, discords, report0),
             time: 0,
-            epoch: 0,
-            mutations: 0,
         })
     }
 
     /// The committed CSR shared by every replica.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        self.env.graph()
     }
 
     /// The underlying dynamic graph.
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.env.graph
     }
 
     /// Number of replicas `R`.
     pub fn replicas(&self) -> usize {
-        self.rngs.len()
+        self.driver.replicas()
     }
 
     /// Nodes per replica.
     pub fn n(&self) -> usize {
-        self.n
+        self.driver.n
     }
 
     /// Steps taken so far (retired replicas stopped at their own
@@ -841,12 +681,12 @@ impl DynamicVoterBatch {
 
     /// Epoch boundaries crossed so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.env.epoch
     }
 
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
-        self.mutations
+        self.env.mutations
     }
 
     /// Replica `r`'s opinion vector.
@@ -855,8 +695,7 @@ impl DynamicVoterBatch {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_opinions(&self, r: usize) -> &[u32] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.opinions[r * self.n..(r + 1) * self.n]
+        self.driver.row(r)
     }
 
     /// Whether replica `r`'s opinions are unanimous. The O(1) discord
@@ -869,8 +708,8 @@ impl DynamicVoterBatch {
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_is_consensus(&self, r: usize) -> bool {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        self.discords[r] == 0 && self.replica_opinions(r).windows(2).all(|w| w[0] == w[1])
+        self.replica_discordant_edges(r) == 0
+            && self.replica_opinions(r).windows(2).all(|w| w[0] == w[1])
     }
 
     /// Number of edges whose endpoints disagree in replica `r`, on the
@@ -881,17 +720,7 @@ impl DynamicVoterBatch {
     /// Panics if `r >= replicas()`.
     pub fn replica_discordant_edges(&self, r: usize) -> u64 {
         assert!(r < self.replicas(), "replica {r} out of range");
-        self.discords[r]
-    }
-
-    /// Recomputes every live replica's discord count after a topology
-    /// change (one O(m) sweep per replica).
-    fn recompute_discords(&mut self, live: usize) {
-        let graph = self.graph.graph();
-        for slot in 0..live {
-            self.discords[slot] =
-                count_discordant_edges(graph, &self.opinions[slot * self.n..(slot + 1) * self.n]);
-        }
+        self.driver.extra[r]
     }
 
     /// Advances every replica by `steps` voter steps on the frozen
@@ -903,29 +732,10 @@ impl DynamicVoterBatch {
     ///
     /// See [`DynamicVoterKernel::step_epoch`].
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_voter_steps_tracked(
-                self.graph.graph(),
-                &mut self.opinions[r * self.n..(r + 1) * self.n],
-                &mut self.discords[r],
-                steps,
-                rng,
-            );
-        }
+        self.driver.step_all(&Voter, self.env.graph(), steps);
         self.time += steps;
-        let (applied, _) = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            None,
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        if applied > 0 {
-            self.recompute_discords(self.replicas());
-        }
-        Ok(applied)
+        let replicas = self.driver.replicas();
+        self.driver.churn(&mut Voter, &mut self.env, replicas)
     }
 
     /// Drives every replica to consensus or to `max_epochs` epochs of
@@ -955,91 +765,25 @@ impl DynamicVoterBatch {
         max_epochs: u64,
         threads: usize,
     ) -> Result<Vec<DynamicVoterReport>, CoreError> {
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![DynamicVoterReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
+        let topology = &mut Topology::Churned(&mut self.env);
+        let budget = Budget::epochs(steps_per_epoch, max_epochs);
         let threads = resolve_threads(threads);
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        let result = loop {
-            // Boundary check (the entry check on the first pass): the
-            // O(1) discord screen plus the per-trial loop's O(n)
-            // unanimity scan when it hits zero. Record, retire, compact.
-            for slot in 0..live {
-                let row = &self.opinions[slot * n..(slot + 1) * n];
-                let consensus = self.discords[slot] == 0 && row.windows(2).all(|w| w[0] == w[1]);
-                outcomes[slot] = BlockOutcome {
-                    steps: 0,
-                    potential: self.discords[slot] as f64,
-                    weighted_average: f64::NAN,
-                    converged: consensus,
-                };
-                reports[slot_replica[slot]] = DynamicVoterReport {
-                    steps: t_call,
-                    winner: consensus.then(|| row[0]),
-                    mutations: self.mutations,
-                };
-            }
-            let opinions = &mut self.opinions;
-            let discords = &mut self.discords;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(opinions, n, a, b);
-                discords.swap(a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || epochs == max_epochs {
-                break Ok(());
-            }
-            // One epoch: full block for every live replica (no early
-            // exit — the per-trial loop keeps drawing through consensus
-            // and frozen states), then churn + commit + revalidate.
-            run_voter_epoch_parallel(
-                self.graph.graph(),
-                n,
-                &mut self.opinions,
-                &mut self.discords,
-                &mut self.rngs,
-                live,
-                steps_per_epoch,
-                threads,
-            );
-            self.time += steps_per_epoch;
-            t_call += steps_per_epoch;
-            match churn_epoch(
-                &mut self.graph,
-                &self.churn,
-                &mut self.churn_rng,
-                self.epoch,
-                None,
-            ) {
-                Ok((applied, _)) => {
-                    self.epoch += 1;
-                    epochs += 1;
-                    self.mutations += applied;
-                    if applied > 0 {
-                        self.recompute_discords(live);
-                    }
-                }
-                Err(err) => break Err(err),
-            }
-        };
-
-        let opinions = &mut self.opinions;
-        let discords = &mut self.discords;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(opinions, n, a, b);
-            discords.swap(a, b);
-            rngs.swap(a, b);
-        });
-        result.map(|()| reports)
+        (self.driver).run(
+            &mut Voter,
+            topology,
+            Stop::Boundary,
+            budget,
+            threads,
+            &mut self.time,
+        )?;
+        let reports = self.driver.reports.iter().zip(&self.driver.mutations);
+        Ok(reports
+            .map(|(report, &mutations)| DynamicVoterReport {
+                steps: report.steps,
+                winner: report.winner,
+                mutations,
+            })
+            .collect())
     }
 }
 
@@ -1653,5 +1397,119 @@ mod tests {
             ),
             Err(CoreError::Disconnected)
         ));
+    }
+
+    /// Every replica's discord count equals a recount on the committed
+    /// topology — the contract `replica_discordant_edges` documents.
+    fn assert_discords_current(batch: &DynamicVoterBatch, context: &str) {
+        for r in 0..batch.replicas() {
+            let recount = count_discordant_edges(batch.graph(), batch.replica_opinions(r));
+            assert_eq!(
+                batch.replica_discordant_edges(r),
+                recount,
+                "{context}: replica {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn voter_discords_follow_a_commit_whose_revalidation_failed() {
+        // Rewiring with no degree floor eventually isolates a node: the
+        // epoch's commit lands, then revalidation rejects it. The counts
+        // must describe the committed (post-churn) topology all the same.
+        let g = generators::cycle(12).unwrap();
+        let ops0: Vec<u32> = (0..12).collect();
+        let seeds = [1u64, 2, 3, 4];
+        let isolated =
+            |err: &CoreError| matches!(err, CoreError::InvalidSampleSize { k: 1, d_min: 0 });
+        for churn_seed in 0..20u64 {
+            let fresh = || {
+                DynamicVoterBatch::new(
+                    DynamicGraph::new(g.clone()),
+                    &ops0,
+                    &seeds,
+                    ChurnModel::rewire(6, 0),
+                    churn_seed,
+                )
+                .unwrap()
+            };
+            let mut stepped = fresh();
+            let err = (0..1_000)
+                .find_map(|_| stepped.step_epoch(12).err())
+                .expect("rewiring without a floor isolates a node");
+            assert!(isolated(&err), "churn seed {churn_seed}: {err:?}");
+            assert_discords_current(&stepped, &format!("step_epoch, churn seed {churn_seed}"));
+
+            let mut driven = fresh();
+            let err = driven.run_to_consensus(12, 1_000, 2).unwrap_err();
+            assert!(isolated(&err), "churn seed {churn_seed}: {err:?}");
+            assert_discords_current(
+                &driven,
+                &format!("run_to_consensus, churn seed {churn_seed}"),
+            );
+        }
+    }
+
+    #[test]
+    fn churn_error_mid_run_leaves_each_replica_as_its_solo_run() {
+        // Rewiring without a degree floor fails mid-run, after some
+        // replicas retired and while others are still live. Canonical
+        // order must be restored on that path: replica r holds exactly
+        // what a one-replica batch of seeds[r] holds after the same call
+        // (which, for an early retiree, returns Ok before the failure).
+        let seeds: Vec<u64> = (1..=6).collect();
+        let g = generators::cycle(16).unwrap();
+        let spec = KernelSpec::Node(NodeModelParams::new(0.5, 1).unwrap());
+        let xi0: Vec<f64> = (0..16).map(|i| f64::from(i % 3)).collect();
+        let averaging = |seeds: &[u64]| {
+            DynamicReplicaBatch::new(
+                DynamicGraph::new(g.clone()),
+                spec,
+                &xi0,
+                seeds,
+                ChurnModel::rewire(2, 0),
+                2,
+            )
+            .unwrap()
+        };
+        for threads in [1usize, 2] {
+            let mut wide = averaging(&seeds);
+            assert!(wide.run_until_converged(16, 1_000, 0.1, threads).is_err());
+            let mut retired = 0;
+            for (r, &seed) in seeds.iter().enumerate() {
+                let mut solo = averaging(&[seed]);
+                retired += usize::from(solo.run_until_converged(16, 1_000, 0.1, 1).is_ok());
+                assert_bits_identical(wide.replica_values(r), solo.replica_values(0));
+            }
+            assert!(0 < retired && retired < seeds.len(), "{retired} retired");
+        }
+
+        let g = generators::torus(4, 4).unwrap();
+        let ops0: Vec<u32> = (0..16).map(|i| i % 2).collect();
+        let voter = |seeds: &[u64]| {
+            DynamicVoterBatch::new(
+                DynamicGraph::new(g.clone()),
+                &ops0,
+                seeds,
+                ChurnModel::rewire(2, 0),
+                0,
+            )
+            .unwrap()
+        };
+        for threads in [1usize, 2] {
+            let mut wide = voter(&seeds);
+            assert!(wide.run_to_consensus(16, 1_000, threads).is_err());
+            let mut retired = 0;
+            for (r, &seed) in seeds.iter().enumerate() {
+                let mut solo = voter(&[seed]);
+                retired += usize::from(solo.run_to_consensus(16, 1_000, 1).is_ok());
+                assert_eq!(
+                    wide.replica_opinions(r),
+                    solo.replica_opinions(0),
+                    "replica {r}"
+                );
+            }
+            assert!(0 < retired && retired < seeds.len(), "{retired} retired");
+        }
     }
 }

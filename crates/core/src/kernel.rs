@@ -30,7 +30,6 @@ use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
 use crate::sampling::{push_k_neighbors, sample_k_neighbors};
 use crate::state::REFRESH_INTERVAL;
 use od_graph::{DirectedEdge, Graph, NodeId};
-use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 /// Which averaging process a kernel advances, with its parameters.
@@ -97,6 +96,22 @@ pub(crate) fn validate_values(graph: &Graph, values: &[f64]) -> Result<(), CoreE
     }
     if let Some(index) = values.iter().position(|v| !v.is_finite()) {
         return Err(CoreError::NonFiniteValue { index });
+    }
+    Ok(())
+}
+
+/// Validates an initial opinion vector against a graph: the voter step
+/// samples a uniform neighbour, so the graph must be connected with at
+/// least two nodes.
+pub(crate) fn validate_opinions(graph: &Graph, opinions: &[u32]) -> Result<(), CoreError> {
+    if !graph.is_connected() || graph.n() < 2 {
+        return Err(CoreError::Disconnected);
+    }
+    if opinions.len() != graph.n() {
+        return Err(CoreError::LengthMismatch {
+            values: opinions.len(),
+            nodes: graph.n(),
+        });
     }
     Ok(())
 }
@@ -404,7 +419,7 @@ impl PiWeights {
 /// Replicas per grouped boundary evaluation
 /// ([`slice_potentials_and_means`]): enough independent add chains to
 /// hide the float-add latency, few enough rows to stay in cache together.
-const PHI_GROUP: usize = 4;
+pub(crate) const PHI_GROUP: usize = 4;
 
 /// `(φ, M)` of `W` value rows in a single sweep over the nodes, for the
 /// block-boundary check of `W` replicas at once.
@@ -760,97 +775,42 @@ pub(crate) fn run_voter_steps_tracked_until<R: RngCore + ?Sized>(
     }
 }
 
-/// Outcome of stepping one replica through one convergence block.
+/// Outcome of stepping one slot through one block of the retirement
+/// driver ([`crate::driver`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BlockOutcome {
     /// Steps actually taken within the block (less than the block length
-    /// only when a tracked replica crossed the threshold mid-block).
+    /// only when a tracked slot met its threshold mid-block).
     pub steps: u64,
-    /// `φ` after the last step taken (`NaN` under [`BlockCheck::None`]).
+    /// `φ` after the last step taken (the discord count for voter rows;
+    /// `NaN` until the block is checked).
     pub potential: f64,
     /// `M(t) = Σ π_u ξ_u(t)` after the last step taken — the `F` estimate
-    /// when converged. Tracker-based under [`BlockCheck::Tracked`]
-    /// (bit-identical to `OpinionState::weighted_average`), the fused
-    /// first pass of the `φ` evaluation under [`BlockCheck::Boundary`],
-    /// `NaN` under [`BlockCheck::None`].
+    /// when converged. Tracker-based under the tracked rule (bit-identical
+    /// to `OpinionState::weighted_average`), the fused first pass of the
+    /// `φ` evaluation at a block boundary, `NaN` until checked.
     pub weighted_average: f64,
-    /// Whether the replica satisfied `φ ≤ ε` within the block.
+    /// Whether the slot met its stopping condition within the block.
     pub converged: bool,
 }
 
-/// How a convergence block detects the ε-threshold.
-pub(crate) enum BlockCheck<'a> {
-    /// Advance only; the caller checks later (the dynamic driver evaluates
-    /// `φ` on the *post-churn* topology).
-    None,
-    /// One two-pass potential evaluation at the block boundary
-    /// (block-granular stopping; maximum step throughput).
-    Boundary {
-        /// ε-convergence threshold.
-        epsilon: f64,
-        /// Which potential is thresholded (`φ` or `φ̄_V`).
-        kind: PotentialKind,
-        /// The π weights of the topology being stepped (read by the `φ`
-        /// arm only).
-        weights: &'a PiWeights,
-    },
-    /// Tracked O(1) per-step check — the scalar-identical stopping rule.
-    Tracked {
-        /// ε-convergence threshold.
-        epsilon: f64,
-        /// Stationary distribution shared by every replica.
-        pi: &'a [f64],
-    },
-}
-
-/// Steps one replica through one block under `check`. Under
-/// [`BlockCheck::Boundary`] the potential fields are left `NaN`: the
-/// caller evaluates them per group of replicas ([`boundary_check`]).
-#[allow(clippy::too_many_arguments)]
-// private leaf of the block runners
-// Invariant-backed: the `expect` messages state why each cannot fire.
-#[allow(clippy::expect_used)]
-fn converge_replica_block(
-    graph: &Graph,
-    spec: KernelSpec,
-    check: &BlockCheck<'_>,
-    values: &mut [f64],
-    tracker: Option<&mut PotentialTracker>,
-    sample: &mut Vec<NodeId>,
-    perm: &mut Vec<u32>,
-    block: u64,
-    rng: &mut StdRng,
-) -> BlockOutcome {
-    match check {
-        BlockCheck::None | BlockCheck::Boundary { .. } => {
-            run_steps(graph, spec, values, sample, perm, block, rng);
-            BlockOutcome {
-                steps: block,
-                potential: f64::NAN,
-                weighted_average: f64::NAN,
-                converged: false,
-            }
-        }
-        BlockCheck::Tracked { epsilon, pi } => {
-            let tracker = tracker.expect("tracked block without a tracker");
-            let (steps, converged) = run_steps_tracked_until(
-                graph, spec, pi, values, tracker, sample, perm, block, *epsilon, rng,
-            );
-            BlockOutcome {
-                steps,
-                potential: tracker.potential_pi(),
-                weighted_average: tracker.weighted_average(),
-                converged,
-            }
+impl BlockOutcome {
+    /// A block of `steps` untracked steps, not yet checked.
+    pub(crate) fn stepped(steps: u64) -> BlockOutcome {
+        BlockOutcome {
+            steps,
+            potential: f64::NAN,
+            weighted_average: f64::NAN,
+            converged: false,
         }
     }
 }
 
-/// The [`BlockCheck::Boundary`] evaluation of a group of replicas whose
-/// rows are consecutive in `values`: fills each outcome's potential,
-/// weighted average and convergence flag. π potentials of up to
-/// [`PHI_GROUP`] rows share one sweep ([`slice_potentials_and_means`]).
-fn boundary_check(
+/// The block-boundary evaluation of a group of replicas whose rows are
+/// consecutive in `values`: fills each outcome's potential, weighted
+/// average and convergence flag. π potentials of up to [`PHI_GROUP`]
+/// rows share one sweep ([`slice_potentials_and_means`]).
+pub(crate) fn boundary_check(
     weights: &PiWeights,
     epsilon: f64,
     kind: PotentialKind,
@@ -893,252 +853,8 @@ fn boundary_check(
     }
 }
 
-/// One worker's share of [`run_replica_block_parallel`]: steps its
-/// replicas in groups of [`PHI_GROUP`], running each group's boundary
-/// check right after the group's steps, while its rows are still in
-/// cache.
-#[allow(clippy::too_many_arguments)] // private leaf of the block runner
-fn run_replica_range(
-    graph: &Graph,
-    spec: KernelSpec,
-    check: &BlockCheck<'_>,
-    n: usize,
-    values: &mut [f64],
-    rngs: &mut [StdRng],
-    trackers: &mut [PotentialTracker],
-    outcomes: &mut [BlockOutcome],
-    blocks: &[u64],
-) {
-    let (mut sample, mut perm) = spec.scratch(graph);
-    for (g, group) in outcomes.chunks_mut(PHI_GROUP).enumerate() {
-        let first = g * PHI_GROUP;
-        for (i, outcome) in group.iter_mut().enumerate() {
-            let slot = first + i;
-            *outcome = converge_replica_block(
-                graph,
-                spec,
-                check,
-                &mut values[slot * n..(slot + 1) * n],
-                trackers.get_mut(slot),
-                &mut sample,
-                &mut perm,
-                blocks[slot],
-                &mut rngs[slot],
-            );
-        }
-        if let BlockCheck::Boundary {
-            epsilon,
-            kind,
-            weights,
-        } = *check
-        {
-            let rows = &values[first * n..(first + group.len()) * n];
-            boundary_check(weights, epsilon, kind, n, rows, group);
-        }
-    }
-}
-
-/// Advances the first `outcomes.len()` (live) replicas of a replica-major
-/// buffer by one convergence block, in parallel. `blocks[slot]` is the
-/// block length of slot `slot` — the batched drivers pass a uniform fill,
-/// while the streaming runner ([`crate::run_converge_streaming`]) hands
-/// freshly admitted replicas a zero-length entry block and budget-capped
-/// stragglers their personal remainder.
-///
-/// The live prefix is partitioned into contiguous per-worker ranges and
-/// stepped under `std::thread::scope`; each worker owns its own sampling
-/// scratch, and every replica draws only from its own RNG and reads only
-/// its own row, so the result is **independent of the thread count and of
-/// the partition** — bit for bit. With `threads <= 1` (or a single live
-/// replica) everything runs inline on the calling thread.
-///
-/// `trackers` must hold one tracker per live replica under
-/// [`BlockCheck::Tracked`] and may be empty otherwise.
-#[allow(clippy::too_many_arguments)] // shared leaf of the batched drivers
-pub(crate) fn run_replica_block_parallel(
-    graph: &Graph,
-    spec: KernelSpec,
-    check: &BlockCheck<'_>,
-    n: usize,
-    values: &mut [f64],
-    rngs: &mut [StdRng],
-    trackers: &mut [PotentialTracker],
-    outcomes: &mut [BlockOutcome],
-    blocks: &[u64],
-    threads: usize,
-) {
-    let live = outcomes.len();
-    debug_assert!(rngs.len() >= live);
-    debug_assert!(blocks.len() >= live);
-    debug_assert!(values.len() >= live * n);
-    let workers = threads.clamp(1, live.max(1));
-    let mut values = &mut values[..live * n];
-    let mut rngs = &mut rngs[..live];
-    let mut blocks = &blocks[..live];
-    if workers <= 1 {
-        run_replica_range(
-            graph, spec, check, n, values, rngs, trackers, outcomes, blocks,
-        );
-        return;
-    }
-    let base = live / workers;
-    let extra = live % workers;
-    std::thread::scope(|scope| {
-        let mut trackers = trackers;
-        let mut outcomes = outcomes;
-        for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (v, rest) = values.split_at_mut(cnt * n);
-            values = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            let (o, rest) = outcomes.split_at_mut(cnt);
-            outcomes = rest;
-            let (bl, rest) = blocks.split_at(cnt);
-            blocks = rest;
-            let t_cnt = if trackers.is_empty() { 0 } else { cnt };
-            let (t, rest) = trackers.split_at_mut(t_cnt);
-            trackers = rest;
-            scope.spawn(move || run_replica_range(graph, spec, check, n, v, r, t, o, bl));
-        }
-    });
-}
-
-/// Voter sibling of [`run_replica_block_parallel`]: advances the live
-/// prefix of a voter batch by one block with the O(1) consensus check,
-/// stopping each replica at its exact consensus step. Same thread-count
-/// independence argument (per-replica RNGs, disjoint rows).
-#[allow(clippy::too_many_arguments)] // shared leaf of the voter driver
-pub(crate) fn run_voter_block_parallel(
-    graph: &Graph,
-    n: usize,
-    opinions: &mut [u32],
-    discords: &mut [u64],
-    rngs: &mut [StdRng],
-    outcomes: &mut [BlockOutcome],
-    block: u64,
-    threads: usize,
-) {
-    let live = outcomes.len();
-    let run_one = |opinions: &mut [u32], discord: &mut u64, rng: &mut StdRng| {
-        let (steps, converged) =
-            run_voter_steps_tracked_until(graph, opinions, discord, block, rng);
-        BlockOutcome {
-            steps,
-            potential: *discord as f64,
-            weighted_average: f64::NAN,
-            converged,
-        }
-    };
-    let workers = threads.clamp(1, live.max(1));
-    if workers <= 1 {
-        for (slot, outcome) in outcomes.iter_mut().enumerate() {
-            *outcome = run_one(
-                &mut opinions[slot * n..(slot + 1) * n],
-                &mut discords[slot],
-                &mut rngs[slot],
-            );
-        }
-        return;
-    }
-    let base = live / workers;
-    let extra = live % workers;
-    std::thread::scope(|scope| {
-        let mut opinions = &mut opinions[..live * n];
-        let mut discords = &mut discords[..live];
-        let mut rngs = &mut rngs[..live];
-        let mut outcomes = outcomes;
-        for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (ops, rest) = opinions.split_at_mut(cnt * n);
-            opinions = rest;
-            let (d, rest) = discords.split_at_mut(cnt);
-            discords = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            let (o, rest) = outcomes.split_at_mut(cnt);
-            outcomes = rest;
-            scope.spawn(move || {
-                for (i, outcome) in o.iter_mut().enumerate() {
-                    *outcome = run_one(&mut ops[i * n..(i + 1) * n], &mut d[i], &mut r[i]);
-                }
-            });
-        }
-    });
-}
-
-/// Epoch sibling of [`run_voter_block_parallel`] for the dynamic voter
-/// driver: advances the first `live` replicas by the **full** block with
-/// the incremental discord count maintained, *without* the early
-/// consensus exit. The per-trial dynamic loop keeps drawing through
-/// consensus (voter steps are no-ops there) and through frozen
-/// zero-discord states churn may later thaw, and epoch-granular stopping
-/// must replay the identical RNG stream. Same thread-count independence
-/// argument as the block runner (per-replica RNGs, disjoint rows).
-#[allow(clippy::too_many_arguments)] // one driver entry point, mirrors run_voter_block_parallel
-pub(crate) fn run_voter_epoch_parallel(
-    graph: &Graph,
-    n: usize,
-    opinions: &mut [u32],
-    discords: &mut [u64],
-    rngs: &mut [StdRng],
-    live: usize,
-    block: u64,
-    threads: usize,
-) {
-    let workers = threads.clamp(1, live.max(1));
-    if workers <= 1 {
-        for slot in 0..live {
-            run_voter_steps_tracked(
-                graph,
-                &mut opinions[slot * n..(slot + 1) * n],
-                &mut discords[slot],
-                block,
-                &mut rngs[slot],
-            );
-        }
-        return;
-    }
-    let base = live / workers;
-    let extra = live % workers;
-    std::thread::scope(|scope| {
-        let mut opinions = &mut opinions[..live * n];
-        let mut discords = &mut discords[..live];
-        let mut rngs = &mut rngs[..live];
-        for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (ops, rest) = opinions.split_at_mut(cnt * n);
-            opinions = rest;
-            let (d, rest) = discords.split_at_mut(cnt);
-            discords = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            scope.spawn(move || {
-                for i in 0..cnt {
-                    run_voter_steps_tracked(
-                        graph,
-                        &mut ops[i * n..(i + 1) * n],
-                        &mut d[i],
-                        block,
-                        &mut r[i],
-                    );
-                }
-            });
-        }
-    });
-}
-
 /// Swaps rows `a` and `b` of a row-major `R × n` buffer (the compaction
-/// primitive of the batched convergence drivers).
+/// primitive of the retirement driver).
 pub(crate) fn swap_rows<T>(buf: &mut [T], n: usize, a: usize, b: usize) {
     if a == b {
         return;
@@ -1146,56 +862,6 @@ pub(crate) fn swap_rows<T>(buf: &mut [T], n: usize, a: usize, b: usize) {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     let (left, right) = buf.split_at_mut(hi * n);
     left[lo * n..(lo + 1) * n].swap_with_slice(&mut right[..n]);
-}
-
-/// One retirement + compaction sweep shared by the batched convergence
-/// drivers: stably partitions the live prefix so that slots whose
-/// [`BlockOutcome::converged`] flag is set move behind the new live
-/// boundary, swapping `outcomes` and `slot_replica` itself and delegating
-/// the driver-specific per-slot storage (value rows, RNGs, trackers,
-/// discord counts) to `swap_extra(a, b)`. Returns the new live count.
-/// Callers record reports from `outcomes` *before* compacting.
-pub(crate) fn compact_retired(
-    live: usize,
-    outcomes: &mut [BlockOutcome],
-    slot_replica: &mut [usize],
-    mut swap_extra: impl FnMut(usize, usize),
-) -> usize {
-    let mut write = 0;
-    for slot in 0..live {
-        if !outcomes[slot].converged {
-            if write != slot {
-                outcomes.swap(write, slot);
-                slot_replica.swap(write, slot);
-                swap_extra(write, slot);
-            }
-            write += 1;
-        }
-    }
-    write
-}
-
-/// Undoes the slot permutation left behind by retirement compaction:
-/// `slot_replica[slot]` names the replica currently stored in `slot`;
-/// after this returns, slot `r` holds replica `r` again. `swap(a, b)` must
-/// swap the *storage* of slots `a` and `b` (value rows, RNGs, any per-slot
-/// state). O(R) swaps.
-pub(crate) fn restore_slot_order(slot_replica: &mut [usize], mut swap: impl FnMut(usize, usize)) {
-    let r_total = slot_replica.len();
-    let mut pos_of = vec![0usize; r_total];
-    for (slot, &rep) in slot_replica.iter().enumerate() {
-        pos_of[rep] = slot;
-    }
-    for target in 0..r_total {
-        let src = pos_of[target];
-        if src != target {
-            swap(target, src);
-            let displaced = slot_replica[target];
-            slot_replica.swap(target, src);
-            pos_of[displaced] = src;
-            pos_of[target] = target;
-        }
-    }
 }
 
 /// Allocation-free step kernel for the averaging processes.
@@ -1346,15 +1012,7 @@ impl<'g> VoterKernel<'g> {
     ///
     /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
     pub fn new(graph: &'g Graph, opinions: Vec<u32>) -> Result<Self, CoreError> {
-        if !graph.is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions.len(),
-                nodes: graph.n(),
-            });
-        }
+        validate_opinions(graph, &opinions)?;
         Ok(VoterKernel {
             graph,
             opinions,
@@ -1467,6 +1125,7 @@ pub(crate) fn run_voter_steps_tracked<R: RngCore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Averaging, AveragingDriver, Budget, Driver, Stop, Topology};
     use crate::{EdgeModel, NodeModel, OpinionProcess, VoterModel};
     use od_graph::generators;
     use rand::rngs::StdRng;
@@ -1646,11 +1305,11 @@ mod tests {
         let eps = 0.3;
         for graph in [&plain, &weighted] {
             let n = graph.n();
-            let weights = PiWeights::new(graph);
-            let check = BlockCheck::Boundary {
+            let mut check = Averaging {
+                spec,
                 epsilon: eps,
-                kind: PotentialKind::Pi,
-                weights: &weights,
+                potential: PotentialKind::Pi,
+                weights: PiWeights::new(graph),
             };
             // Every group remainder: 1..=9 live replicas, inline and on
             // two workers (whose ranges split the groups differently).
@@ -1658,23 +1317,17 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(live as u64);
                 let values: Vec<f64> = (0..live * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 for threads in [1, 2] {
-                    let mut buf = values.clone();
-                    let mut rngs: Vec<StdRng> =
-                        (0..live as u64).map(StdRng::seed_from_u64).collect();
-                    let mut outcomes = vec![BlockOutcome::default(); live];
-                    run_replica_block_parallel(
-                        graph,
-                        spec,
-                        &check,
-                        n,
-                        &mut buf,
-                        &mut rngs,
-                        &mut [],
-                        &mut outcomes,
-                        &vec![0; live],
-                        threads,
-                    );
-                    for (r, outcome) in outcomes.iter().enumerate() {
+                    // The zero-step entry round alone: a zero step budget.
+                    let seeds: Vec<u64> = (0..live as u64).collect();
+                    let mut driver: AveragingDriver =
+                        Driver::batch(&values[..n], &seeds, Vec::new(), Default::default());
+                    driver.rows.copy_from_slice(&values);
+                    let (stop, budget) = (Stop::Boundary, Budget::steps(1, 0));
+                    let topology = &mut Topology::Static(graph);
+                    driver
+                        .run(&mut check, topology, stop, budget, threads, &mut 0)
+                        .unwrap();
+                    for (r, outcome) in driver.reports.iter().enumerate() {
                         let row = &values[r * n..(r + 1) * n];
                         let (phi, mu) = slice_potential_and_mean(graph, row);
                         assert_eq!(

@@ -55,15 +55,15 @@
 //! engine's compacted `Σ_r T_r` — the tier trades that for a much
 //! smaller constant per step.
 
-use crate::dynamic::churn_epoch;
+use crate::dynamic::Environment;
 use crate::engine::{validate_epsilon, ConvergenceReport};
 use crate::error::CoreError;
 use crate::kernel::{validate_values, KernelSpec};
 use crate::params::Laziness;
 use crate::sampling::sample_k_neighbors;
 use od_graph::{ChurnModel, DynamicGraph, Graph, NodeId};
-use rand::rngs::{CounterRng, StdRng};
-use rand::{RngCore, SeedableRng};
+use rand::rngs::CounterRng;
+use rand::RngCore;
 
 /// Salt folded with the replica seeds into the shared schedule key, so
 /// the schedule stream never collides with a lane stream derived from
@@ -769,10 +769,8 @@ impl<'g> LaneReplicaBatch<'g> {
 /// identical across tiers).
 #[derive(Debug, Clone)]
 pub struct DynamicLaneReplicaBatch {
-    graph: DynamicGraph,
+    env: Environment,
     spec: KernelSpec,
-    churn: ChurnModel,
-    churn_rng: StdRng,
     n: usize,
     lanes: usize,
     values: Vec<f64>,
@@ -780,8 +778,6 @@ pub struct DynamicLaneReplicaBatch {
     rngs: LaneRngs,
     scratch: LaneScratch,
     time: u64,
-    epoch: u64,
-    mutations: u64,
     /// Per lane: `mutations` at the boundary where the lane last froze
     /// its report in `run_until_converged`.
     retired_mutations: Vec<u64>,
@@ -794,28 +790,26 @@ impl DynamicLaneReplicaBatch {
     ///
     /// The same as [`crate::DynamicReplicaBatch::new`].
     pub fn new(
-        mut graph: DynamicGraph,
+        graph: DynamicGraph,
         spec: KernelSpec,
         xi0: &[f64],
         seeds: &[u64],
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
-        graph.commit();
-        validate_values(graph.graph(), xi0)?;
-        spec.validate(graph.graph())?;
+        let env = Environment::new(graph, churn, churn_seed);
+        validate_values(env.graph(), xi0)?;
+        spec.validate(env.graph())?;
         let n = xi0.len();
         let lanes = seeds.len();
         let mut values = vec![0.0; n * lanes];
         for (u, &x) in xi0.iter().enumerate() {
             values[u * lanes..(u + 1) * lanes].fill(x);
         }
-        let scratch = LaneScratch::new(spec, graph.graph(), lanes);
+        let scratch = LaneScratch::new(spec, env.graph(), lanes);
         Ok(DynamicLaneReplicaBatch {
-            graph,
+            env,
             spec,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
             n,
             lanes,
             values,
@@ -823,20 +817,18 @@ impl DynamicLaneReplicaBatch {
             rngs: LaneRngs::new(seeds),
             scratch,
             time: 0,
-            epoch: 0,
-            mutations: 0,
             retired_mutations: vec![0; lanes],
         })
     }
 
     /// The committed CSR shared by every lane.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        self.env.graph()
     }
 
     /// The underlying dynamic graph.
     pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.env.graph
     }
 
     /// The model spec.
@@ -861,12 +853,12 @@ impl DynamicLaneReplicaBatch {
 
     /// Epoch boundaries crossed so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.env.epoch
     }
 
     /// Total elementary topology mutations applied so far.
     pub fn mutations(&self) -> u64 {
-        self.mutations
+        self.env.mutations
     }
 
     /// Elementary topology mutations the shared environment had applied
@@ -903,7 +895,7 @@ impl DynamicLaneReplicaBatch {
     /// See [`crate::DynamicStepKernel::step_epoch`].
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
         run_lane_steps(
-            self.graph.graph(),
+            self.env.graph(),
             self.spec,
             self.lanes,
             &mut self.values,
@@ -913,16 +905,7 @@ impl DynamicLaneReplicaBatch {
             steps,
         );
         self.time += steps;
-        let (applied, _) = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
+        Ok(self.env.advance(Some(self.spec))?.0)
     }
 
     /// Drives every lane to ε-convergence or to `max_epochs` epochs of
@@ -955,7 +938,7 @@ impl DynamicLaneReplicaBatch {
         let mut t_call = 0u64;
         let mut epochs = 0u64;
         loop {
-            lane_potential_pi(self.graph.graph(), lanes, &self.values, &mut mu, &mut phi);
+            lane_potential_pi(self.env.graph(), lanes, &self.values, &mut mu, &mut phi);
             for j in 0..lanes {
                 if frozen[j] {
                     continue;
@@ -967,7 +950,7 @@ impl DynamicLaneReplicaBatch {
                     potential: phi[j],
                     weighted_average: mu[j],
                 };
-                self.retired_mutations[j] = self.mutations;
+                self.retired_mutations[j] = self.env.mutations;
                 if converged {
                     frozen[j] = true;
                     live -= 1;
@@ -995,7 +978,7 @@ impl DynamicLaneReplicaBatch {
     /// `M(t) = Σ π_u ξ_u(t)` of lane `r` on the current topology. O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
         assert!(r < self.lanes, "lane {r} out of range");
-        let graph = self.graph.graph();
+        let graph = self.env.graph();
         let two_m = graph.directed_edge_count() as f64;
         (0..self.n)
             .map(|u| graph.degree(u as NodeId) as f64 * self.values[u * self.lanes + r])
@@ -1010,7 +993,7 @@ impl DynamicLaneReplicaBatch {
         let lanes = self.lanes;
         let mut mu = vec![0.0; lanes];
         let mut phi = vec![0.0; lanes];
-        lane_potential_pi(self.graph.graph(), lanes, &self.values, &mut mu, &mut phi);
+        lane_potential_pi(self.env.graph(), lanes, &self.values, &mut mu, &mut phi);
         phi[r]
     }
 }

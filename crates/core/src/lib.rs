@@ -48,6 +48,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod batch;
+mod driver;
 mod dynamic;
 mod edge_model;
 mod engine;

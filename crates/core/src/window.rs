@@ -27,12 +27,10 @@ use od_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::driver::{Averaging, AveragingDriver, Budget, Driver, Stop, Topology};
 use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
-use crate::kernel::{
-    compact_retired, run_replica_block_parallel, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec, PiWeights, PotentialTracker, TrackerState,
-};
+use crate::kernel::{validate_values, KernelSpec, PiWeights, PotentialTracker, TrackerState};
 
 /// A fixed-capacity streaming convergence window, advanced block round by
 /// block round. See the module docs; [`run_converge_streaming`] is the
@@ -40,34 +38,19 @@ use crate::kernel::{
 #[derive(Debug, Clone)]
 pub struct ConvergeWindow<'g> {
     graph: &'g Graph,
-    spec: KernelSpec,
     xi0: Vec<f64>,
     seeds: Vec<u64>,
     config: ConvergeConfig,
-    n: usize,
-    capacity: usize,
-    check_every: u64,
+    budget: Budget,
     threads: usize,
     exact: bool,
-    /// The graph's π weights: the exact trackers' `π` and the boundary
-    /// check's per-node weights.
-    weights: PiWeights,
-    /// Replica-major `capacity × n` value storage (live prefix in use).
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
-    trackers: Vec<PotentialTracker>,
-    /// Which trial each live slot is running.
-    slot_trial: Vec<usize>,
-    /// Steps each live slot's trial has taken so far.
-    taken: Vec<u64>,
-    /// Next block length per live slot (0 = entry check only).
-    blocks: Vec<u64>,
-    outcomes: Vec<BlockOutcome>,
-    /// Admission cursor: index of the next pending seed.
-    next: usize,
-    /// Number of occupied (live) slots.
-    live: usize,
-    reports: Vec<ConvergenceReport>,
+    /// The spec, threshold and the graph's π weights: the exact
+    /// trackers' `π` and the boundary check's per-node weights.
+    kind: Averaging,
+    /// Replica-major `capacity × n` values (live prefix in use), RNGs,
+    /// exact-mode trackers, slot → trial map, per-slot steps and next
+    /// blocks, admission cursor, live count and per-trial reports.
+    driver: AveragingDriver,
 }
 
 impl<'g> ConvergeWindow<'g> {
@@ -93,29 +76,19 @@ impl<'g> ConvergeWindow<'g> {
         let n = xi0.len();
         let total = seeds.len();
         let capacity = capacity.clamp(1, total.max(1));
-        let exact = config.stop == StopRule::Exact;
+        let mut kind = Averaging::new(spec, PiWeights::new(graph));
+        (kind.epsilon, kind.potential) = (config.epsilon, config.potential);
+        let rows = vec![0.0f64; capacity * n];
         Ok(ConvergeWindow {
             graph,
-            spec,
             xi0: xi0.to_vec(),
             seeds: seeds.to_vec(),
-            n,
-            capacity,
-            check_every: config.resolved_check_every(n),
+            budget: Budget::steps(config.resolved_check_every(n), config.max_steps),
             threads: config.resolved_threads(),
-            exact,
-            weights: PiWeights::new(graph),
+            exact: config.stop == StopRule::Exact,
             config,
-            values: vec![0.0f64; capacity * n],
-            rngs: Vec::with_capacity(capacity),
-            trackers: Vec::with_capacity(capacity),
-            slot_trial: vec![0usize; capacity],
-            taken: vec![0u64; capacity],
-            blocks: vec![0u64; capacity],
-            outcomes: vec![BlockOutcome::default(); capacity],
-            next: 0,
-            live: 0,
-            reports: vec![ConvergenceReport::default(); total],
+            kind,
+            driver: Driver::window(n, capacity, total, rows, ConvergenceReport::default()),
         })
     }
 
@@ -127,47 +100,12 @@ impl<'g> ConvergeWindow<'g> {
     /// Number of trials that have fully retired (their
     /// [`ConvergenceReport`] is final).
     pub fn completed(&self) -> usize {
-        self.next - self.live
+        self.driver.next - self.driver.live
     }
 
     /// Whether every trial has retired.
     pub fn is_done(&self) -> bool {
-        self.live == 0 && self.next >= self.seeds.len()
-    }
-
-    /// Admits pending trials into the free suffix. Each starts with a
-    /// zero-length entry block — the scalar rule checks the potential
-    /// before the first step, so already-converged initial states retire
-    /// with zero steps, exactly like the batched driver.
-    fn admit(&mut self) {
-        while self.live < self.capacity && self.next < self.seeds.len() {
-            let slot = self.live;
-            let row = slot * self.n..(slot + 1) * self.n;
-            self.values[row.clone()].copy_from_slice(&self.xi0);
-            let rng = StdRng::seed_from_u64(self.seeds[self.next]);
-            if slot < self.rngs.len() {
-                self.rngs[slot] = rng;
-            } else {
-                self.rngs.push(rng);
-            }
-            if self.exact {
-                let tracker = PotentialTracker::new(
-                    self.weights.pi(),
-                    &self.values[row],
-                    self.config.potential,
-                );
-                if slot < self.trackers.len() {
-                    self.trackers[slot] = tracker;
-                } else {
-                    self.trackers.push(tracker);
-                }
-            }
-            self.slot_trial[slot] = self.next;
-            self.taken[slot] = 0;
-            self.blocks[slot] = 0;
-            self.live += 1;
-            self.next += 1;
-        }
+        self.driver.live == 0 && self.driver.next >= self.seeds.len()
     }
 
     /// Advances the window by one block round: admit pending trials, step
@@ -175,75 +113,30 @@ impl<'g> ConvergeWindow<'g> {
     /// retire converged (and budget-exhausted) slots, and schedule the
     /// survivors' next blocks. Returns `false` once every trial has
     /// retired (further calls are no-ops).
+    ///
+    /// Each admitted trial starts with a zero-length entry block — the
+    /// scalar rule checks the potential before the first step, so
+    /// already-converged initial states retire with zero steps, exactly
+    /// like the batched driver.
     pub fn run_block(&mut self) -> bool {
-        self.admit();
-        if self.live == 0 {
+        let (xi0, seeds, pi) = (&self.xi0, &self.seeds, self.kind.weights.pi());
+        let (exact, potential) = (self.exact, self.config.potential);
+        self.driver.admit(|trial, row| {
+            row.copy_from_slice(xi0);
+            let tracker = exact.then(|| PotentialTracker::new(pi, row, potential));
+            (StdRng::seed_from_u64(seeds[trial]), tracker)
+        });
+        if self.driver.live == 0 {
             return false;
         }
-        let check = if self.exact {
-            BlockCheck::Tracked {
-                epsilon: self.config.epsilon,
-                pi: self.weights.pi(),
-            }
+        let stop = if self.exact {
+            Stop::Tracked
         } else {
-            BlockCheck::Boundary {
-                epsilon: self.config.epsilon,
-                kind: self.config.potential,
-                weights: &self.weights,
-            }
+            Stop::Boundary
         };
-        run_replica_block_parallel(
-            self.graph,
-            self.spec,
-            &check,
-            self.n,
-            &mut self.values,
-            &mut self.rngs,
-            &mut self.trackers,
-            &mut self.outcomes[..self.live],
-            &self.blocks,
-            self.threads,
-        );
-        for slot in 0..self.live {
-            let outcome = self.outcomes[slot];
-            self.taken[slot] += outcome.steps;
-            self.reports[self.slot_trial[slot]] = ConvergenceReport {
-                steps: self.taken[slot],
-                converged: outcome.converged,
-                potential: outcome.potential,
-                weighted_average: outcome.weighted_average,
-            };
-            // Budget-exhausted trials retire alongside converged ones so
-            // their slot can be re-filled; the report above has already
-            // recorded the honest `converged: false`.
-            if !outcome.converged && self.taken[slot] >= self.config.max_steps {
-                self.outcomes[slot].converged = true;
-            }
-        }
-        let n = self.n;
-        let exact = self.exact;
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        let trackers = &mut self.trackers;
-        let taken = &mut self.taken;
-        self.live = compact_retired(
-            self.live,
-            &mut self.outcomes,
-            &mut self.slot_trial,
-            |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-                if exact {
-                    trackers.swap(a, b);
-                }
-                taken.swap(a, b);
-            },
-        );
-        for slot in 0..self.live {
-            self.blocks[slot] = self
-                .check_every
-                .min(self.config.max_steps - self.taken[slot]);
-        }
+        let topology = &mut Topology::Static(self.graph);
+        let round = (self.driver).round(&mut self.kind, topology, stop, self.budget, self.threads);
+        debug_assert!(round.is_ok(), "a static topology has no fallible hook");
         !self.is_done()
     }
 
@@ -266,12 +159,12 @@ impl<'g> ConvergeWindow<'g> {
     /// Per-trial reports, seed order. Entries for trials that have not
     /// yet retired are provisional (or default, if never admitted).
     pub fn reports(&self) -> &[ConvergenceReport] {
-        &self.reports
+        &self.driver.reports
     }
 
     /// Consumes the window, returning the per-trial reports (seed order).
     pub fn into_reports(self) -> Vec<ConvergenceReport> {
-        self.reports
+        self.driver.reports
     }
 
     /// Captures the complete loop state between rounds. Restoring the
@@ -279,30 +172,31 @@ impl<'g> ConvergeWindow<'g> {
     /// ([`ConvergeWindow::restore`]) and finishing produces reports
     /// bit-identical to the uninterrupted run.
     pub fn checkpoint(&self) -> WindowCheckpoint {
+        let d = &self.driver;
         let mut live_trial = vec![false; self.seeds.len()];
-        for slot in 0..self.live {
-            live_trial[self.slot_trial[slot]] = true;
+        for &trial in &d.slot_trial[..d.live] {
+            live_trial[trial] = true;
         }
-        let done = (0..self.next)
+        let done = (0..d.next)
             .filter(|&t| !live_trial[t])
-            .map(|t| (t, self.reports[t]))
+            .map(|t| (t, d.reports[t]))
             .collect();
-        let slots = (0..self.live)
+        let slots = (0..d.live)
             .map(|slot| SlotState {
-                trial: self.slot_trial[slot],
-                taken: self.taken[slot],
-                block: self.blocks[slot],
-                rng: self.rngs[slot].state(),
-                tracker: self.exact.then(|| self.trackers[slot].state()),
-                values: self.values[slot * self.n..(slot + 1) * self.n].to_vec(),
+                trial: d.slot_trial[slot],
+                taken: d.taken[slot],
+                block: d.blocks[slot],
+                rng: d.rngs[slot].state(),
+                tracker: self.exact.then(|| d.extra[slot].state()),
+                values: d.row(slot).to_vec(),
             })
             .collect();
         WindowCheckpoint {
-            n: self.n,
-            capacity: self.capacity,
+            n: d.n,
+            capacity: d.slot_trial.len(),
             total: self.seeds.len(),
             exact: self.exact,
-            next: self.next,
+            next: d.next,
             slots,
             done,
         }
@@ -330,37 +224,33 @@ impl<'g> ConvergeWindow<'g> {
         checkpoint: &WindowCheckpoint,
     ) -> Result<Self, CoreError> {
         let mut window = ConvergeWindow::new(graph, spec, xi0, seeds, capacity, config)?;
-        let mismatch = |what: &str, expected: String, got: String| {
-            Err(CoreError::Checkpoint(format!(
-                "{what} mismatch: window has {expected}, checkpoint has {got}"
-            )))
-        };
-        if checkpoint.n != window.n {
-            return mismatch("node count", window.n.to_string(), checkpoint.n.to_string());
-        }
-        if checkpoint.capacity != window.capacity {
-            return mismatch(
+        let d = &mut window.driver;
+        let capacity = d.slot_trial.len();
+        let shape = [
+            ("node count", d.n.to_string(), checkpoint.n.to_string()),
+            (
                 "capacity",
-                window.capacity.to_string(),
+                capacity.to_string(),
                 checkpoint.capacity.to_string(),
-            );
-        }
-        if checkpoint.total != window.seeds.len() {
-            return mismatch(
+            ),
+            (
                 "trial count",
                 window.seeds.len().to_string(),
                 checkpoint.total.to_string(),
-            );
-        }
-        if checkpoint.exact != window.exact {
-            return mismatch(
+            ),
+            (
                 "stop rule",
                 window.exact.to_string(),
                 checkpoint.exact.to_string(),
-            );
+            ),
+        ];
+        if let Some((what, expected, got)) = shape.into_iter().find(|(_, a, b)| a != b) {
+            return Err(CoreError::Checkpoint(format!(
+                "{what} mismatch: window has {expected}, checkpoint has {got}"
+            )));
         }
         let live = checkpoint.slots.len();
-        if live > window.capacity
+        if live > capacity
             || checkpoint.next > checkpoint.total
             || checkpoint.next < live
             || checkpoint.done.len() != checkpoint.next - live
@@ -370,7 +260,7 @@ impl<'g> ConvergeWindow<'g> {
             ));
         }
         for (slot, state) in checkpoint.slots.iter().enumerate() {
-            if state.trial >= checkpoint.total || state.values.len() != window.n {
+            if state.trial >= checkpoint.total || state.values.len() != d.n {
                 return Err(CoreError::Checkpoint(format!(
                     "slot {slot} references trial {} with {} values",
                     state.trial,
@@ -382,20 +272,17 @@ impl<'g> ConvergeWindow<'g> {
                     "slot {slot} tracker presence does not match the stop rule"
                 )));
             }
-            window.values[slot * window.n..(slot + 1) * window.n].copy_from_slice(&state.values);
+            d.rows[slot * d.n..(slot + 1) * d.n].copy_from_slice(&state.values);
             // od-lint: allow(D3) — checkpoint restore of a stream that originated from StdRng::seed_from_u64; validated against the manifest seed
-            window.rngs.push(StdRng::from_state(state.rng));
+            d.rngs.push(StdRng::from_state(state.rng));
             if let Some(tracker) = state.tracker {
                 // od-lint: allow(D3) — PotentialTracker::from_state restores a potential accumulator, not an RNG
-                window.trackers.push(PotentialTracker::from_state(
-                    config.potential,
-                    window.n,
-                    tracker,
-                ));
+                let tracker = PotentialTracker::from_state(config.potential, d.n, tracker);
+                d.extra.push(tracker);
             }
-            window.slot_trial[slot] = state.trial;
-            window.taken[slot] = state.taken;
-            window.blocks[slot] = state.block;
+            d.slot_trial[slot] = state.trial;
+            d.taken[slot] = state.taken;
+            d.blocks[slot] = state.block;
         }
         for &(trial, report) in &checkpoint.done {
             if trial >= checkpoint.total {
@@ -403,10 +290,10 @@ impl<'g> ConvergeWindow<'g> {
                     "completed trial {trial} out of range"
                 )));
             }
-            window.reports[trial] = report;
+            d.reports[trial] = report;
         }
-        window.next = checkpoint.next;
-        window.live = live;
+        d.next = checkpoint.next;
+        d.live = live;
         Ok(window)
     }
 }

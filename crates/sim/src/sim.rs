@@ -3,19 +3,22 @@
 //!
 //! # Dispatch table
 //!
-//! | scenario shape | engine |
-//! |---|---|
-//! | averaging, R = 1, `output trace` | scalar process + `trace_potential` (recorded run) |
-//! | averaging, static, `stop steps` | `ReplicaBatch::step_many` over seed chunks |
-//! | averaging, static, `stop converge` | `run_converge_streaming` (retirement-aware SoA window) |
-//! | averaging, churn, `stop steps` | `DynamicReplicaBatch::step_epoch` over seed chunks |
-//! | averaging, churn, `stop converge` | `DynamicReplicaBatch::run_until_converged` |
-//! | voter, static, `stop steps` | `VoterBatch::step_many` |
-//! | voter, static, `stop consensus` | `VoterBatch::run_to_consensus` |
-//! | voter, churn | `DynamicVoterBatch` (incremental discord counter, epoch-boundary retirement) |
-//! | averaging, `tier lane`, static | `LaneReplicaBatch` (`lane` feature; all replicas in one lane-major batch) |
-//! | averaging, `tier lane`, churn | `DynamicLaneReplicaBatch` (`lane` feature; shared schedule and churn trajectory) |
-//! | `degroot` / `fj` / `weighted_median` | `SyncKernel` deterministic synchronous rounds (the only engine for weighted *directed* graphs) |
+//! Every exact-tier shape runs on one retirement driver (`od-core`'s
+//! batches and window share it): a row kind, a topology and a stop.
+//!
+//! | scenario shape | row kind × topology × stop | entry point | engine label |
+//! |---|---|---|---|
+//! | averaging, R = 1, `output trace` | scalar process + `trace_potential` | — | `scalar-recorded` |
+//! | averaging, `stop steps` | averaging × static × horizon | `ReplicaBatch::step_many` per seed chunk | `replica-batch` |
+//! | averaging, `stop converge` | averaging × static × tracked/boundary | `run_converge_streaming` (one window) | `streaming-converge` |
+//! | averaging, churn, `stop steps` | averaging × churned × horizon | `DynamicReplicaBatch::step_epoch` per seed chunk | `dynamic-replica-batch` |
+//! | averaging, churn, `stop converge` | averaging × churned × boundary | `DynamicReplicaBatch::run_until_converged` | `dynamic-converge` |
+//! | voter, `stop steps` | voter × static × horizon | `VoterBatch::step_many` | `voter-batch` |
+//! | voter, `stop consensus` | voter × static × tracked | `VoterBatch::run_to_consensus` | `voter-consensus` |
+//! | voter, churn | voter × churned × horizon/boundary | `DynamicVoterBatch::step_epoch` / `run_to_consensus` | `dynamic-voter` |
+//! | averaging, `tier lane`, static | lane-major SIMD batch (`lane` feature) | `LaneReplicaBatch` | `lane-batch` / `lane-converge` |
+//! | averaging, `tier lane`, churn | lane-major SIMD batch (`lane` feature) | `DynamicLaneReplicaBatch` | `dynamic-lane-batch` / `dynamic-lane-converge` |
+//! | `degroot` / `fj` / `weighted_median` | deterministic synchronous rounds (the only engine for weighted *directed* graphs) | `SyncKernel` | `sync-rounds` |
 //!
 //! Weighted graphs (`weights uniform ...` or a 3-column `graph file=`)
 //! run the exact batched engines or the sync kernels; a `tier lane`
@@ -40,8 +43,8 @@ use crate::runner::monte_carlo_batched_threads;
 use crate::spec::{ModelSpec, OutputSpec, ScenarioSpec, SimError, StopRuleSpec, StopSpec};
 use od_core::{
     run_converge_streaming, trace_potential, ConvergeConfig, ConvergeWindow, ConvergenceReport,
-    DynamicReplicaBatch, DynamicVoterBatch, EdgeModel, KernelSpec, NodeModel, OpinionProcess,
-    ReplicaBatch, StopRule, VoterBatch, WindowCheckpoint,
+    CoreError, DynamicReplicaBatch, DynamicVoterBatch, EdgeModel, KernelSpec, NodeModel,
+    OpinionProcess, ReplicaBatch, StopRule, VoterBatch, WindowCheckpoint,
 };
 use od_graph::{ChurnModel, DynamicGraph, Graph};
 use od_stats::{SeedSequence, Summary};
@@ -49,30 +52,30 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 
-/// The engine a scenario dispatches to (see the module-level table).
+/// The engine a scenario dispatches to (see the module-level table). The
+/// exact-tier variants label driver shapes; their `Display` strings are
+/// the names sweep tables, `CELL` lines and `.cell` files carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Scalar recorded run: one replica, incremental aggregates, a
     /// potential trace.
     ScalarRecorded,
-    /// `ReplicaBatch::step_many` over seed chunks.
+    /// Averaging, static topology, fixed horizon.
     StaticSteps,
-    /// The retirement-aware streaming convergence runner
-    /// (`od_core::run_converge_streaming`).
+    /// Averaging, static topology, convergence through the streaming
+    /// window (`od_core::run_converge_streaming`).
     StaticConverge,
-    /// `DynamicReplicaBatch::step_epoch` over seed chunks.
+    /// Averaging, churned topology, fixed horizon.
     DynamicSteps,
-    /// `DynamicReplicaBatch::run_until_converged` (epoch-boundary rule).
+    /// Averaging, churned topology, epoch-boundary convergence.
     DynamicConverge,
-    /// `VoterBatch::step_many`.
+    /// Voter, static topology, fixed horizon.
     VoterSteps,
-    /// `VoterBatch::run_to_consensus` (O(1) incremental consensus checks,
-    /// early retirement).
+    /// Voter, static topology, per-step consensus checks with early
+    /// retirement.
     VoterConsensus,
-    /// `DynamicVoterBatch::run_to_consensus` / `step_epoch` (incremental
-    /// discord counter recomputed at churn boundaries, epoch-boundary
-    /// retirement). Stopping times are bit-identical to the per-trial
-    /// `DynamicVoterKernel` loop this engine replaced.
+    /// Voter, churned topology: a fixed horizon or epoch-boundary
+    /// consensus, bit-identical to a per-trial `DynamicVoterKernel` loop.
     DynamicVoter,
     /// `LaneReplicaBatch::step_many`: the lane-major SIMD tier, all
     /// replicas in one batch (`lane` feature, `tier lane`).
@@ -138,6 +141,30 @@ pub struct TrialResult {
 }
 
 impl TrialResult {
+    /// A fixed-horizon averaging trial (no threshold, never converged).
+    fn averaging(steps: u64, potential: f64, estimate: f64, mutations: u64) -> TrialResult {
+        TrialResult {
+            steps,
+            converged: false,
+            potential,
+            estimate,
+            winner: None,
+            mutations,
+        }
+    }
+
+    /// A voter trial: converged exactly when it has a winner.
+    fn voter(steps: u64, winner: Option<u32>, mutations: u64) -> TrialResult {
+        TrialResult {
+            steps,
+            converged: winner.is_some(),
+            potential: f64::NAN,
+            estimate: f64::NAN,
+            winner,
+            mutations,
+        }
+    }
+
     fn from_convergence(report: &ConvergenceReport, mutations: u64) -> TrialResult {
         TrialResult {
             steps: report.steps,
@@ -453,22 +480,19 @@ impl Simulation {
         let engine = self.engine();
         let trials = match engine {
             Engine::ScalarRecorded => return self.run_scalar_recorded(),
-            Engine::StaticConverge => self.run_static_converge()?,
-            Engine::StaticSteps => self.run_static_steps()?,
-            Engine::DynamicConverge => self.run_dynamic_converge()?,
-            Engine::DynamicSteps => self.run_dynamic_steps()?,
-            Engine::VoterConsensus => self.run_voter_consensus(),
-            Engine::VoterSteps => self.run_voter_steps(),
-            Engine::DynamicVoter => self.run_dynamic_voter()?,
+            Engine::StaticSteps
+            | Engine::StaticConverge
+            | Engine::DynamicSteps
+            | Engine::DynamicConverge
+            | Engine::VoterSteps
+            | Engine::VoterConsensus
+            | Engine::DynamicVoter => self.run_exact(engine)?,
             Engine::SyncRounds => self.run_sync_rounds()?,
             #[cfg(feature = "lane")]
-            Engine::LaneSteps => self.run_lane_steps()?,
-            #[cfg(feature = "lane")]
-            Engine::LaneConverge => self.run_lane_converge()?,
-            #[cfg(feature = "lane")]
-            Engine::DynamicLaneSteps => self.run_dynamic_lane_steps()?,
-            #[cfg(feature = "lane")]
-            Engine::DynamicLaneConverge => self.run_dynamic_lane_converge()?,
+            Engine::LaneSteps
+            | Engine::LaneConverge
+            | Engine::DynamicLaneSteps
+            | Engine::DynamicLaneConverge => self.run_lane()?,
             #[cfg(not(feature = "lane"))]
             Engine::LaneSteps
             | Engine::LaneConverge
@@ -500,6 +524,16 @@ impl Simulation {
             .model
             .kernel_spec()
             .expect("assemble validated the model")
+    }
+
+    /// The stop's step horizon (the fixed horizon or the budget) and
+    /// whether it is fixed (no stopping rule).
+    fn horizon(&self) -> (u64, bool) {
+        match self.spec.stop {
+            StopSpec::Steps { steps } => (steps, true),
+            StopSpec::Converge { budget, .. } | StopSpec::Consensus { budget } => (budget, false),
+            StopSpec::FixedPoint { .. } => unreachable!("fixed_point stops run the sync engine"),
+        }
     }
 
     fn churn_parts(&self) -> (ChurnModel, u64, u64) {
@@ -539,14 +573,7 @@ impl Simulation {
         };
         Ok(SimulationReport {
             engine: Engine::ScalarRecorded,
-            trials: vec![TrialResult {
-                steps,
-                converged: false,
-                potential,
-                estimate,
-                winner: None,
-                mutations: 0,
-            }],
+            trials: vec![TrialResult::averaging(steps, potential, estimate, 0)],
             trace: Some(trace),
         })
     }
@@ -637,94 +664,31 @@ impl Simulation {
         }
     }
 
-    fn run_static_converge(&self) -> Result<Vec<TrialResult>, SimError> {
-        let reports = run_converge_streaming(
-            &self.graph,
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-            self.spec.resolved_batch(),
-            self.converge_config(),
-        )?;
-        Ok(reports
-            .iter()
-            .map(|r| TrialResult::from_convergence(r, 0))
-            .collect())
-    }
-
-    fn run_static_steps(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            unreachable!("steps dispatch requires a steps stop")
-        };
-        let spec = self.kernel_spec();
-        let trials = monte_carlo_batched_threads(
+    /// Every exact-tier shape: static convergence streams all seeds
+    /// through one checkpointable window (capacity `batch`, `threads`
+    /// workers); every other shape runs one batch per seed chunk on the
+    /// runner's threads ([`Simulation::run_chunk`]). A chunk-level error
+    /// fans out to the chunk's trials and fails the run.
+    fn run_exact(&self, engine: Engine) -> Result<Vec<TrialResult>, SimError> {
+        if engine == Engine::StaticConverge {
+            let reports = run_converge_streaming(
+                &self.graph,
+                self.kernel_spec(),
+                &self.xi0,
+                &self.trial_seeds(),
+                self.spec.resolved_batch(),
+                self.converge_config(),
+            )?;
+            return Ok(self.report_from_window(&reports).trials);
+        }
+        let trials: Vec<Result<TrialResult, CoreError>> = monte_carlo_batched_threads(
             self.spec.replicas,
             self.seeds(),
             self.spec.resolved_batch(),
             self.spec.threads,
-            |_, chunk| {
-                let mut batch = ReplicaBatch::new(&self.graph, spec, &self.xi0, chunk)
-                    .expect("assemble validated the scenario");
-                batch.step_many(steps);
-                (0..chunk.len())
-                    .map(|r| TrialResult {
-                        steps,
-                        converged: false,
-                        potential: batch.replica_potential_pi(r),
-                        estimate: batch.replica_weighted_average(r),
-                        winner: None,
-                        mutations: 0,
-                    })
-                    .collect()
-            },
-        );
-        Ok(trials)
-    }
-
-    fn run_dynamic_converge(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Converge {
-            epsilon, budget, ..
-        } = self.spec.stop
-        else {
-            unreachable!("converge dispatch requires a converge stop")
-        };
-        let spec = self.kernel_spec();
-        let (churn, steps_per_epoch, churn_seed) = self.churn_parts();
-        let max_epochs = budget / steps_per_epoch;
-        let trials: Vec<Result<TrialResult, od_core::CoreError>> = monte_carlo_batched_threads(
-            self.spec.replicas,
-            self.seeds(),
-            self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| {
-                // One churn stream per scenario: every chunk replays the
-                // same topology trajectory from `churn_seed`, so trial
-                // results are independent of the chunking.
-                let run = || {
-                    let mut batch = DynamicReplicaBatch::new(
-                        DynamicGraph::new(self.graph.clone()),
-                        spec,
-                        &self.xi0,
-                        chunk,
-                        churn.clone(),
-                        churn_seed,
-                    )?;
-                    // Inner threads pinned to 1: the runner already
-                    // parallelises across chunks.
-                    let reports =
-                        batch.run_until_converged(steps_per_epoch, max_epochs, epsilon, 1)?;
-                    Ok(reports
-                        .iter()
-                        .enumerate()
-                        .map(|(r, report)| {
-                            TrialResult::from_convergence(report, batch.replica_mutations(r))
-                        })
-                        .collect::<Vec<_>>())
-                };
-                match run() {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(e) => chunk.iter().map(|_| Err(clone_err(&e))).collect(),
-                }
+            |_, chunk| match self.run_chunk(chunk) {
+                Ok(results) => results.into_iter().map(Ok).collect(),
+                Err(e) => chunk.iter().map(|_| Err(e.clone())).collect(),
             },
         );
         trials
@@ -733,183 +697,114 @@ impl Simulation {
             .map_err(SimError::Core)
     }
 
-    fn run_dynamic_steps(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            unreachable!("steps dispatch requires a steps stop")
-        };
-        let spec = self.kernel_spec();
-        let (churn, steps_per_epoch, churn_seed) = self.churn_parts();
-        let epochs = steps / steps_per_epoch;
-        let trials: Vec<Result<TrialResult, od_core::CoreError>> = monte_carlo_batched_threads(
-            self.spec.replicas,
-            self.seeds(),
-            self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| {
-                let run = || {
-                    let mut batch = DynamicReplicaBatch::new(
-                        DynamicGraph::new(self.graph.clone()),
-                        spec,
-                        &self.xi0,
-                        chunk,
-                        churn.clone(),
-                        churn_seed,
-                    )?;
-                    for _ in 0..epochs {
-                        batch.step_epoch(steps_per_epoch)?;
-                    }
-                    Ok((0..chunk.len())
-                        .map(|r| TrialResult {
-                            steps,
-                            converged: false,
-                            potential: batch.replica_potential_pi(r),
-                            estimate: batch.replica_weighted_average(r),
-                            winner: None,
-                            mutations: batch.mutations(),
-                        })
-                        .collect::<Vec<_>>())
-                };
-                match run() {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(e) => chunk.iter().map(|_| Err(clone_err(&e))).collect(),
-                }
-            },
-        );
-        trials
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SimError::Core)
-    }
-
-    fn run_voter_consensus(&self) -> Vec<TrialResult> {
-        let StopSpec::Consensus { budget } = self.spec.stop else {
-            unreachable!("consensus dispatch requires a consensus stop")
-        };
-        monte_carlo_batched_threads(
-            self.spec.replicas,
-            self.seeds(),
-            self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| {
-                let mut batch = VoterBatch::new(&self.graph, &self.opinions0, chunk)
-                    .expect("assemble validated the scenario");
-                let reports = batch.run_to_consensus(budget, self.spec.check_every, 1);
-                reports
-                    .iter()
-                    .map(|r| TrialResult {
-                        steps: r.steps,
-                        converged: r.winner.is_some(),
-                        potential: f64::NAN,
-                        estimate: f64::NAN,
-                        winner: r.winner,
-                        mutations: 0,
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    fn run_voter_steps(&self) -> Vec<TrialResult> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            unreachable!("steps dispatch requires a steps stop")
-        };
-        monte_carlo_batched_threads(
-            self.spec.replicas,
-            self.seeds(),
-            self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| {
-                let mut batch = VoterBatch::new(&self.graph, &self.opinions0, chunk)
-                    .expect("assemble validated the scenario");
-                batch.step_many(steps);
-                (0..chunk.len())
+    /// One seed chunk on the batch of its row kind (averaging or voter)
+    /// and topology (static or churned), driven to its stop: a fixed
+    /// horizon (`step_many`, or whole `step_epoch`s), or early retirement
+    /// at convergence or consensus. Inner threads are pinned to 1: the
+    /// runner already parallelises across chunks. Every churned chunk
+    /// replays the same topology trajectory from the scenario's churn
+    /// seed, so trial results are independent of the chunking.
+    fn run_chunk(&self, seeds: &[u64]) -> Result<Vec<TrialResult>, CoreError> {
+        let (horizon, fixed) = self.horizon();
+        let churn = self.spec.churn.is_some().then(|| {
+            let (model, epoch, churn_seed) = self.churn_parts();
+            (
+                DynamicGraph::new(self.graph.clone()),
+                model,
+                epoch,
+                churn_seed,
+            )
+        });
+        let trials = 0..seeds.len();
+        Ok(match (self.spec.model.is_averaging(), churn) {
+            (true, None) => {
+                let mut batch =
+                    ReplicaBatch::new(&self.graph, self.kernel_spec(), &self.xi0, seeds)?;
+                batch.step_many(horizon);
+                trials
                     .map(|r| {
-                        let consensus = batch.replica_is_consensus(r);
-                        TrialResult {
-                            steps,
-                            converged: consensus,
-                            potential: f64::NAN,
-                            estimate: f64::NAN,
-                            winner: consensus.then(|| batch.replica_opinions(r)[0]),
-                            mutations: 0,
-                        }
+                        let (phi, m) = (
+                            batch.replica_potential_pi(r),
+                            batch.replica_weighted_average(r),
+                        );
+                        TrialResult::averaging(horizon, phi, m, 0)
                     })
                     .collect()
-            },
-        )
-    }
-
-    fn run_dynamic_voter(&self) -> Result<Vec<TrialResult>, SimError> {
-        let budget = match self.spec.stop {
-            StopSpec::Consensus { budget } => budget,
-            StopSpec::Steps { steps } => steps,
-            StopSpec::Converge { .. } | StopSpec::FixedPoint { .. } => {
-                unreachable!("validate rejects voter + converge/fixed_point")
             }
-        };
-        let stop_at_consensus = matches!(self.spec.stop, StopSpec::Consensus { .. });
-        let (churn, steps_per_epoch, churn_seed) = self.churn_parts();
-        // Consensus is checked at epoch boundaries (an O(1) discord
-        // screen plus an all-equal scan), so stopping times are
-        // epoch-granular — exactly like the per-trial kernel loop this
-        // batched driver replaced.
-        let max_epochs = budget / steps_per_epoch;
-        let trials: Vec<Result<TrialResult, od_core::CoreError>> = monte_carlo_batched_threads(
-            self.spec.replicas,
-            self.seeds(),
-            self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| {
-                let run = || -> Result<Vec<TrialResult>, od_core::CoreError> {
-                    let mut batch = DynamicVoterBatch::new(
-                        DynamicGraph::new(self.graph.clone()),
-                        &self.opinions0,
-                        chunk,
-                        churn.clone(),
-                        churn_seed,
-                    )?;
-                    if stop_at_consensus {
-                        let reports = batch.run_to_consensus(steps_per_epoch, max_epochs, 1)?;
-                        Ok(reports
-                            .iter()
-                            .map(|r| TrialResult {
-                                steps: r.steps,
-                                converged: r.winner.is_some(),
-                                potential: f64::NAN,
-                                estimate: f64::NAN,
-                                winner: r.winner,
-                                mutations: r.mutations,
-                            })
-                            .collect())
-                    } else {
-                        for _ in 0..max_epochs {
-                            batch.step_epoch(steps_per_epoch)?;
-                        }
-                        Ok((0..chunk.len())
-                            .map(|r| {
-                                let consensus = batch.replica_is_consensus(r);
-                                TrialResult {
-                                    steps: batch.time(),
-                                    converged: consensus,
-                                    potential: f64::NAN,
-                                    estimate: f64::NAN,
-                                    winner: consensus.then(|| batch.replica_opinions(r)[0]),
-                                    mutations: batch.mutations(),
-                                }
-                            })
-                            .collect())
+            (true, Some((graph, model, epoch, churn_seed))) => {
+                let spec = self.kernel_spec();
+                let mut batch =
+                    DynamicReplicaBatch::new(graph, spec, &self.xi0, seeds, model, churn_seed)?;
+                if fixed {
+                    for _ in 0..horizon / epoch {
+                        batch.step_epoch(epoch)?;
                     }
-                };
-                match run() {
-                    Ok(results) => results.into_iter().map(Ok).collect(),
-                    Err(e) => chunk.iter().map(|_| Err(clone_err(&e))).collect(),
+                    trials
+                        .map(|r| {
+                            let (phi, m) = (
+                                batch.replica_potential_pi(r),
+                                batch.replica_weighted_average(r),
+                            );
+                            TrialResult::averaging(horizon, phi, m, batch.mutations())
+                        })
+                        .collect()
+                } else {
+                    let StopSpec::Converge { epsilon, .. } = self.spec.stop else {
+                        unreachable!("averaging trials stop at a horizon or at convergence")
+                    };
+                    let reports = batch.run_until_converged(epoch, horizon / epoch, epsilon, 1)?;
+                    trials
+                        .map(|r| {
+                            TrialResult::from_convergence(&reports[r], batch.replica_mutations(r))
+                        })
+                        .collect()
                 }
-            },
-        );
-        trials
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(SimError::Core)
+            }
+            (false, None) => {
+                let mut batch = VoterBatch::new(&self.graph, &self.opinions0, seeds)?;
+                if fixed {
+                    batch.step_many(horizon);
+                    trials
+                        .map(|r| {
+                            let consensus = batch.replica_is_consensus(r);
+                            TrialResult::voter(
+                                horizon,
+                                consensus.then(|| batch.replica_opinions(r)[0]),
+                                0,
+                            )
+                        })
+                        .collect()
+                } else {
+                    let reports = batch.run_to_consensus(horizon, self.spec.check_every, 1);
+                    reports
+                        .iter()
+                        .map(|r| TrialResult::voter(r.steps, r.winner, 0))
+                        .collect()
+                }
+            }
+            (false, Some((graph, model, epoch, churn_seed))) => {
+                let mut batch =
+                    DynamicVoterBatch::new(graph, &self.opinions0, seeds, model, churn_seed)?;
+                if fixed {
+                    for _ in 0..horizon / epoch {
+                        batch.step_epoch(epoch)?;
+                    }
+                    trials
+                        .map(|r| {
+                            let consensus = batch.replica_is_consensus(r);
+                            let winner = consensus.then(|| batch.replica_opinions(r)[0]);
+                            TrialResult::voter(horizon, winner, batch.mutations())
+                        })
+                        .collect()
+                } else {
+                    let reports = batch.run_to_consensus(epoch, horizon / epoch, 1)?;
+                    reports
+                        .iter()
+                        .map(|r| TrialResult::voter(r.steps, r.winner, r.mutations))
+                        .collect()
+                }
+            }
+        })
     }
 
     /// The synchronous models (degroot, fj, weighted_median) are
@@ -953,12 +848,8 @@ impl Simulation {
         let n = self.graph.n() as f64;
         let estimate = kernel.values().iter().sum::<f64>() / n;
         Ok(vec![TrialResult {
-            steps: rounds,
             converged,
-            potential: last_delta,
-            estimate,
-            winner: None,
-            mutations: 0,
+            ..TrialResult::averaging(rounds, last_delta, estimate, 0)
         }])
     }
 
@@ -966,113 +857,59 @@ impl Simulation {
     /// `batch`/`threads` chunking knobs do not apply; lane `j` draws its
     /// private randomness from trial seed `j`, and the shared step
     /// schedule is a deterministic function of the whole seed set.
+    /// validate() pinned rule=block and potential=pi for lane specs.
     #[cfg(feature = "lane")]
-    fn run_lane_steps(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            unreachable!("steps dispatch requires a steps stop")
+    fn run_lane(&self) -> Result<Vec<TrialResult>, SimError> {
+        let (spec, seeds) = (self.kernel_spec(), self.trial_seeds());
+        let (horizon, fixed) = self.horizon();
+        let epsilon = match self.spec.stop {
+            StopSpec::Converge { epsilon, .. } => epsilon,
+            _ => f64::NAN,
         };
-        let mut batch = od_core::LaneReplicaBatch::new(
-            &self.graph,
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-        )?;
-        batch.step_many(steps);
-        Ok((0..batch.lanes())
-            .map(|r| TrialResult {
-                steps,
-                converged: false,
-                potential: batch.replica_potential_pi(r),
-                estimate: batch.replica_weighted_average(r),
-                winner: None,
-                mutations: 0,
-            })
-            .collect())
-    }
-
-    #[cfg(feature = "lane")]
-    fn run_lane_converge(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Converge {
-            epsilon, budget, ..
-        } = self.spec.stop
-        else {
-            unreachable!("converge dispatch requires a converge stop")
-        };
-        // validate() pinned rule=block and potential=pi for lane specs.
-        let mut batch = od_core::LaneReplicaBatch::new(
-            &self.graph,
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-        )?;
-        let reports = batch.run_until_converged(epsilon, budget, self.spec.check_every)?;
-        Ok(reports
-            .iter()
-            .map(|r| TrialResult::from_convergence(r, 0))
-            .collect())
-    }
-
-    #[cfg(feature = "lane")]
-    fn run_dynamic_lane_steps(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            unreachable!("steps dispatch requires a steps stop")
-        };
-        let (churn, steps_per_epoch, churn_seed) = self.churn_parts();
-        let epochs = steps / steps_per_epoch;
+        if self.spec.churn.is_none() {
+            let mut batch = od_core::LaneReplicaBatch::new(&self.graph, spec, &self.xi0, &seeds)?;
+            if !fixed {
+                let reports = batch.run_until_converged(epsilon, horizon, self.spec.check_every)?;
+                return Ok(reports
+                    .iter()
+                    .map(|r| TrialResult::from_convergence(r, 0))
+                    .collect());
+            }
+            batch.step_many(horizon);
+            return Ok((0..batch.lanes())
+                .map(|r| {
+                    let (phi, m) = (
+                        batch.replica_potential_pi(r),
+                        batch.replica_weighted_average(r),
+                    );
+                    TrialResult::averaging(horizon, phi, m, 0)
+                })
+                .collect());
+        }
+        let (churn, epoch, churn_seed) = self.churn_parts();
+        let graph = DynamicGraph::new(self.graph.clone());
         let mut batch = od_core::DynamicLaneReplicaBatch::new(
-            DynamicGraph::new(self.graph.clone()),
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-            churn,
-            churn_seed,
+            graph, spec, &self.xi0, &seeds, churn, churn_seed,
         )?;
-        for _ in 0..epochs {
-            batch.step_epoch(steps_per_epoch)?;
+        if !fixed {
+            let reports = batch.run_until_converged(epoch, horizon / epoch, epsilon)?;
+            return Ok((0..batch.lanes())
+                .map(|r| TrialResult::from_convergence(&reports[r], batch.replica_mutations(r)))
+                .collect());
+        }
+        for _ in 0..horizon / epoch {
+            batch.step_epoch(epoch)?;
         }
         Ok((0..batch.lanes())
-            .map(|r| TrialResult {
-                steps,
-                converged: false,
-                potential: batch.replica_potential_pi(r),
-                estimate: batch.replica_weighted_average(r),
-                winner: None,
-                mutations: batch.mutations(),
+            .map(|r| {
+                let (phi, m) = (
+                    batch.replica_potential_pi(r),
+                    batch.replica_weighted_average(r),
+                );
+                TrialResult::averaging(horizon, phi, m, batch.mutations())
             })
             .collect())
     }
-
-    #[cfg(feature = "lane")]
-    fn run_dynamic_lane_converge(&self) -> Result<Vec<TrialResult>, SimError> {
-        let StopSpec::Converge {
-            epsilon, budget, ..
-        } = self.spec.stop
-        else {
-            unreachable!("converge dispatch requires a converge stop")
-        };
-        let (churn, steps_per_epoch, churn_seed) = self.churn_parts();
-        let max_epochs = budget / steps_per_epoch;
-        let mut batch = od_core::DynamicLaneReplicaBatch::new(
-            DynamicGraph::new(self.graph.clone()),
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-            churn,
-            churn_seed,
-        )?;
-        let reports = batch.run_until_converged(steps_per_epoch, max_epochs, epsilon)?;
-        Ok(reports
-            .iter()
-            .enumerate()
-            .map(|(r, report)| TrialResult::from_convergence(report, batch.replica_mutations(r)))
-            .collect())
-    }
-}
-
-/// `CoreError` is `Clone`; this free function just keeps the closure
-/// bodies tidy where one chunk-level error fans out to its trials.
-fn clone_err(e: &od_core::CoreError) -> od_core::CoreError {
-    e.clone()
 }
 
 #[cfg(test)]
