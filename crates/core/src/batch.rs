@@ -197,7 +197,9 @@ impl<'g> ReplicaBatch<'g> {
         let budget = Budget::steps(config.resolved_check_every(self.driver.n), config.max_steps);
         let topology = &mut Topology::Static(self.graph);
         let threads = config.resolved_threads();
-        let result = (self.driver).run(kind, topology, stop, budget, threads, &mut self.time);
+        let result = self
+            .driver
+            .run(kind, topology, stop, budget, threads, &mut self.time);
         self.driver.extra.clear();
         result.map(|()| self.driver.reports.clone())
     }
@@ -347,7 +349,7 @@ impl<'g> VoterBatch<'g> {
         let budget = Budget::steps(resolve_check_every(check_every, self.driver.n), max_steps);
         let topology = &mut Topology::Static(self.graph);
         let threads = resolve_threads(threads);
-        let run = (self.driver).run(
+        let run = self.driver.run(
             &mut Voter,
             topology,
             Stop::Tracked,

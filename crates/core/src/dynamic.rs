@@ -93,7 +93,8 @@ impl Environment {
         let mut outcome = CommitOutcome::Unchanged;
         let mut applied = 0;
         if !self.churn.is_static() {
-            applied = (self.churn)
+            applied = self
+                .churn
                 .apply(&mut self.graph, self.epoch, &mut self.rng)
                 .map_err(CoreError::ChurnFailed)? as u64;
             outcome = self.graph.commit();
@@ -552,7 +553,7 @@ impl DynamicReplicaBatch {
         let budget = Budget::epochs(steps_per_epoch, max_epochs);
         let threads = resolve_threads(threads);
         let kind = &mut self.kind;
-        (self.driver).run(
+        self.driver.run(
             kind,
             topology,
             Stop::Boundary,
@@ -768,7 +769,7 @@ impl DynamicVoterBatch {
         let topology = &mut Topology::Churned(&mut self.env);
         let budget = Budget::epochs(steps_per_epoch, max_epochs);
         let threads = resolve_threads(threads);
-        (self.driver).run(
+        self.driver.run(
             &mut Voter,
             topology,
             Stop::Boundary,

@@ -135,7 +135,9 @@ impl<'g> ConvergeWindow<'g> {
             Stop::Boundary
         };
         let topology = &mut Topology::Static(self.graph);
-        let round = (self.driver).round(&mut self.kind, topology, stop, self.budget, self.threads);
+        let round = self
+            .driver
+            .round(&mut self.kind, topology, stop, self.budget, self.threads);
         debug_assert!(round.is_ok(), "a static topology has no fallible hook");
         !self.is_done()
     }
