@@ -602,7 +602,13 @@ impl<T: Copy + Send + Sync, X: Send + Sync, R: Copy> Driver<T, X, R> {
             for (w, scratch) in self.scratch[..workers].iter_mut().enumerate() {
                 let (chunk, tail) = rest.split(n, base + usize::from(w < extra));
                 rest = tail;
-                scope.spawn(move || chunk.work(kind, graph, n, pass, scratch));
+                scope.spawn(move || {
+                    // Step from a worker-local copy: the pool's buffer
+                    // headers share cache lines between workers.
+                    let mut local = std::mem::take(scratch);
+                    chunk.work(kind, graph, n, pass, &mut local);
+                    *scratch = local;
+                });
             }
         });
     }
