@@ -9,14 +9,17 @@
 //! medians) so the million-node path compiles and executes on every
 //! push; the tracked medians in `CHANGES.md` come from full runs.
 //!
-//! With `--features lane` the `batch/lane8_*` groups add the lane-major
+//! The `batch/lane8_node_kernel_1024steps` group adds the lane-major
 //! SIMD tier: one iteration advances **8 lanes** by `STEPS_PER_ITER`
 //! shared steps, so divide the reported time by `8 × STEPS_PER_ITER` for
 //! the per-replica ns/step that compares against the exact-tier rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
-use od_core::{EdgeModelParams, KernelSpec, NodeModelParams, ReplicaBatch, StepKernel, VoterBatch};
+use od_core::{
+    EdgeModelParams, KernelSpec, LaneReplicaBatch, NodeModelParams, ReplicaBatch, StepKernel,
+    VoterBatch,
+};
 use od_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,35 +105,21 @@ fn voter_batch_step_many(c: &mut Criterion) {
 /// per-replica step cost is `time / (8 × STEPS_PER_ITER)`. The k = 4
 /// rows hit the full-row-mean arm on the 4-regular tori (no per-lane
 /// neighbour draws); k = 1 pays one counter draw per lane per step.
-#[cfg(feature = "lane")]
 fn lane_batch_step_many(c: &mut Criterion) {
-    use od_core::LaneReplicaBatch;
     const LANES: usize = 8;
     let seeds: Vec<u64> = (0..LANES as u64).collect();
     let mut group = c.benchmark_group("batch/lane8_node_kernel_1024steps");
     for (name, g) in scale_graphs() {
         for k in [1usize, 4] {
-            let spec = KernelSpec::Node(NodeModelParams::new(0.5, k).unwrap());
+            let params = NodeModelParams::new(0.5, k).unwrap();
             group.bench_function(format!("{name}/k{k}"), |b| {
-                let mut batch = LaneReplicaBatch::new(&g, spec, &pm_one(g.n()), &seeds).unwrap();
+                let mut batch = LaneReplicaBatch::new(&g, params, &pm_one(g.n()), &seeds).unwrap();
                 b.iter(|| batch.step_many(STEPS_PER_ITER));
             });
         }
     }
     group.finish();
-    let mut group = c.benchmark_group("batch/lane8_edge_kernel_1024steps");
-    for (name, g) in scale_graphs() {
-        let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
-        group.bench_function(name, |b| {
-            let mut batch = LaneReplicaBatch::new(&g, spec, &pm_one(g.n()), &seeds).unwrap();
-            b.iter(|| batch.step_many(STEPS_PER_ITER));
-        });
-    }
-    group.finish();
 }
-
-#[cfg(not(feature = "lane"))]
-fn lane_batch_step_many(_c: &mut Criterion) {}
 
 criterion_group!(
     benches,

@@ -60,11 +60,11 @@ pub(crate) enum Stop {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Budget {
     /// Block length after the zero-step entry round.
-    check_every: u64,
+    pub(crate) check_every: u64,
     /// Per-slot step budget.
-    max_steps: u64,
+    pub(crate) max_steps: u64,
     /// Churn epochs per [`Driver::run`].
-    max_epochs: u64,
+    pub(crate) max_epochs: u64,
 }
 
 impl Budget {
@@ -98,7 +98,7 @@ pub(crate) enum Topology<'a> {
 }
 
 impl Topology<'_> {
-    fn graph(&self) -> &Graph {
+    pub(crate) fn graph(&self) -> &Graph {
         match self {
             Topology::Static(graph) => graph,
             Topology::Churned(env) => env.graph(),

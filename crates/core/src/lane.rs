@@ -1,4 +1,4 @@
-//! The **lane-major SIMD kernel tier** (`lane` cargo feature).
+//! The **lane-major SIMD kernel tier** (`tier lane`) for the NodeModel.
 //!
 //! The exact batched engines ([`crate::ReplicaBatch`],
 //! [`crate::DynamicReplicaBatch`]) store replicas **replica-major**
@@ -8,30 +8,37 @@
 //! every step is one isolated random access into an `n`-sized vector, and
 //! every draw is a loop-carried 256-bit state update.
 //!
-//! This module restructures the same processes for auto-vectorisation:
+//! This module restructures the NodeModel (Definition 2.1) for
+//! auto-vectorisation:
 //!
 //! * **Lane-major values** — `values[u*lanes + j]` puts the `R` replicas
 //!   of node `u` adjacent in memory, so one CSR row fetch feeds all `R`
-//!   lanes of the NodeModel mean / EdgeModel blend with contiguous loads,
-//!   and the per-step update is a short dense loop over `lanes` that the
-//!   compiler turns into vector arithmetic (`unsafe_code` is forbidden
-//!   workspace-wide — all SIMD here is auto-vectorised safe Rust).
+//!   lanes of the neighbour mean with contiguous loads, and the per-step
+//!   update is a short dense loop over `lanes` that the compiler turns
+//!   into vector arithmetic (`unsafe_code` is forbidden workspace-wide —
+//!   all SIMD here is auto-vectorised safe Rust).
 //! * **Counter-based lane RNG** — [`LaneRngs`] keeps one SplitMix64
 //!   counter key per lane ([`CounterRng`]); a row of `R` draws is the
 //!   pure expression `mix64(key_j + ctr·γ)` with no loop-carried
 //!   dependency across lanes.
-//! * **Shared step schedule** — the *focus* of each step (the NodeModel's
-//!   node `u`, the EdgeModel's directed edge) is drawn once from a
-//!   dedicated schedule stream and shared by every lane; the per-lane
-//!   randomness (neighbour choices, lazy coins) stays independent.
+//! * **Shared step schedule** — the node `u` each step updates is drawn
+//!   once from a dedicated schedule stream and shared by every lane; the
+//!   per-lane randomness (neighbour choices, lazy coins) stays
+//!   independent.
+//!
+//! There is no EdgeModel lane kernel: its gather is two scattered rows
+//! per step rather than one dense lane row, and it measured slower than
+//! the exact edge kernel at every size benched (README § Kernel tiers),
+//! so the scenario dispatcher runs edge specs on the exact engines
+//! whatever their `tier`.
 //!
 //! # Fast, not bit-equal
 //!
 //! Sharing the schedule is what buys the speed-up, and it is exactly
 //! what the tier gives up: each lane's **marginal** law is the process
-//! law of Definition 2.1 / 2.3 — the shared focus is drawn uniformly,
-//! and conditional on it every lane samples its own neighbours and coins
-//! independently, so (focus, neighbours) has the model's joint
+//! law of Definition 2.1 — the shared node is drawn uniformly, and
+//! conditional on it every lane samples its own neighbours and coins
+//! independently, so (node, neighbours) has the model's joint
 //! distribution lane by lane — but lanes are **correlated with each
 //! other** (they visit the same nodes in the same order). Per-replica
 //! statistics (stopping times, `F` estimates) are therefore drawn from
@@ -39,13 +46,24 @@
 //! and nothing here is bit-comparable with the exact tier. In the
 //! extreme, a non-lazy NodeModel with `k = d` on a regular graph has no
 //! per-lane randomness at all — the update is a deterministic function
-//! of the shared focus — so every lane is the *same* trajectory and the
+//! of the shared node — so every lane is the *same* trajectory and the
 //! batch carries one effective replica (use the exact tier when that
 //! cell's replica dispersion matters). The
 //! statistical-equivalence suite (`tests/lane_equivalence.rs`) pins
 //! matched moments of stopping times and `F` estimates against the
 //! bit-exact path over the 5-graph × model matrix; the exact tier's
 //! bit-identical gates are untouched by this module.
+//!
+//! # One frozen-lane loop
+//!
+//! [`LaneReplicaBatch`] and [`DynamicLaneReplicaBatch`] are thin owners
+//! of one private lane core (values, schedule, lane RNGs, scratch, time)
+//! around the topology they step over. A fixed graph is the
+//! time-invariant case of the churned iteration, so both convergence
+//! runs are the same loop, scheduled by the exact driver's `Budget`
+//! over its `Topology`: check every lane, step one block, then the
+//! topology hook — nothing on a static graph, one churn epoch under
+//! churn, with `φ` evaluated on the post-churn graph.
 //!
 //! Converged lanes are **frozen, not retired**: their report (stopping
 //! time, `φ`, `F` estimate) is recorded at the first boundary crossing,
@@ -55,15 +73,17 @@
 //! engine's compacted `Σ_r T_r` — the tier trades that for a much
 //! smaller constant per step.
 
+use crate::driver::{Budget, Topology};
 use crate::dynamic::Environment;
 use crate::engine::{validate_epsilon, ConvergenceReport};
 use crate::error::CoreError;
 use crate::kernel::{validate_values, KernelSpec};
-use crate::params::Laziness;
+use crate::params::{Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
 use od_graph::{ChurnModel, DynamicGraph, Graph, NodeId};
 use rand::rngs::CounterRng;
 use rand::RngCore;
+use std::ops::Range;
 
 /// Salt folded with the replica seeds into the shared schedule key, so
 /// the schedule stream never collides with a lane stream derived from
@@ -187,8 +207,8 @@ struct LaneScratch {
 }
 
 impl LaneScratch {
-    fn new(spec: KernelSpec, graph: &Graph, lanes: usize) -> LaneScratch {
-        let (sample, perm) = spec.scratch(graph);
+    fn new(params: NodeModelParams, graph: &Graph, lanes: usize) -> LaneScratch {
+        let (sample, perm) = KernelSpec::Node(params).scratch(graph);
         LaneScratch {
             raw: vec![0; lanes],
             coins: vec![0; lanes],
@@ -200,11 +220,10 @@ impl LaneScratch {
 }
 
 /// The lane-major inner loop: advances all `lanes` replicas by `steps`
-/// shared-schedule steps. The three NodeModel arms mirror
-/// [`sample_k_neighbors`]'s regimes: `k = d` needs no neighbour draws at
-/// all (full-row mean — the purest SIMD path), `k = 1` is one draw per
-/// lane, and `1 < k < d` falls back to the exact sampler on a per-lane
-/// counter substream.
+/// shared-schedule steps. The three arms mirror [`sample_k_neighbors`]'s
+/// regimes: `k = d` needs no neighbour draws at all (full-row mean — the
+/// purest SIMD path), `k = 1` is one draw per lane, and `1 < k < d`
+/// falls back to the exact sampler on a per-lane counter substream.
 ///
 /// Common widths are dispatched to the monomorphised
 /// [`lane_steps_fixed`] loop (lane rows become `[f64; L]` arrays, the
@@ -215,7 +234,7 @@ impl LaneScratch {
 #[allow(clippy::too_many_arguments)] // one hot loop, mirrors run_steps
 fn run_lane_steps(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     lanes: usize,
     values: &mut [f64],
     schedule: &mut CounterRng,
@@ -224,12 +243,12 @@ fn run_lane_steps(
     steps: u64,
 ) {
     match lanes {
-        2 => lane_steps_fixed::<2>(graph, spec, values, schedule, rngs, scratch, steps),
-        4 => lane_steps_fixed::<4>(graph, spec, values, schedule, rngs, scratch, steps),
-        8 => lane_steps_fixed::<8>(graph, spec, values, schedule, rngs, scratch, steps),
-        16 => lane_steps_fixed::<16>(graph, spec, values, schedule, rngs, scratch, steps),
-        32 => lane_steps_fixed::<32>(graph, spec, values, schedule, rngs, scratch, steps),
-        _ => lane_steps_dyn(graph, spec, lanes, values, schedule, rngs, scratch, steps),
+        2 => lane_steps_fixed::<2>(graph, params, values, schedule, rngs, scratch, steps),
+        4 => lane_steps_fixed::<4>(graph, params, values, schedule, rngs, scratch, steps),
+        8 => lane_steps_fixed::<8>(graph, params, values, schedule, rngs, scratch, steps),
+        16 => lane_steps_fixed::<16>(graph, params, values, schedule, rngs, scratch, steps),
+        32 => lane_steps_fixed::<32>(graph, params, values, schedule, rngs, scratch, steps),
+        _ => lane_steps_dyn(graph, params, lanes, values, schedule, rngs, scratch, steps),
     }
 }
 
@@ -244,130 +263,87 @@ fn run_lane_steps(
 #[allow(clippy::unwrap_used)]
 fn lane_steps_fixed<const L: usize>(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     values: &mut [f64],
     schedule: &mut CounterRng,
     rngs: &mut LaneRngs,
     scratch: &mut LaneScratch,
     steps: u64,
 ) {
-    match spec {
-        KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let u = mul_shift(schedule.next_u64(), n);
-                let row = graph.neighbors(u as NodeId);
-                let d = row.len();
-                let base = u * L;
-                let mut coins = [0u64; L];
-                if lazy {
-                    rngs.next_row(&mut coins);
-                }
-                if k == d {
-                    let mut acc = [0.0f64; L];
-                    for &v in row {
-                        let vrow: &[f64; L] = (&values[v as usize * L..v as usize * L + L])
-                            .try_into()
-                            .unwrap();
-                        for j in 0..L {
-                            acc[j] += vrow[j];
-                        }
-                    }
-                    let inv_d = 1.0 / d as f64;
-                    let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                    for j in 0..L {
-                        let old = target[j];
-                        let new = alpha * old + blend * (acc[j] * inv_d);
-                        target[j] = if lazy && coin_skip(coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else if k == 1 {
-                    let mut raw = [0u64; L];
-                    rngs.next_row(&mut raw);
-                    // Gather first into a register row so the L loads
-                    // issue independently, then blend in one pass.
-                    let mut picked = [0.0f64; L];
-                    for j in 0..L {
-                        let v = row[mul_shift(raw[j], d)] as usize;
-                        picked[j] = values[v * L + j];
-                    }
-                    let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                    for j in 0..L {
-                        let old = target[j];
-                        let new = alpha * old + blend * picked[j];
-                        target[j] = if lazy && coin_skip(coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else {
-                    // General k: exact sampler per lane on a substream
-                    // (identical to the dynamic-width loop — nothing to
-                    // vectorise across lanes here).
-                    for j in 0..L {
-                        if lazy && coin_skip(coins[j]) {
-                            continue;
-                        }
-                        let mut sub = rngs.step_substream(j);
-                        sample_k_neighbors(
-                            row,
-                            k,
-                            &mut scratch.sample,
-                            &mut scratch.perm,
-                            &mut sub,
-                        );
-                        let mean = scratch
-                            .sample
-                            .iter()
-                            .map(|&v| values[v as usize * L + j])
-                            .sum::<f64>()
-                            / scratch.sample.len() as f64;
-                        values[base + j] = alpha * values[base + j] + blend * mean;
-                    }
-                    rngs.advance();
-                }
-            }
+    let n = graph.n();
+    let alpha = params.alpha();
+    let blend = 1.0 - alpha;
+    let k = params.k();
+    let lazy = params.laziness() == Laziness::Lazy;
+    for _ in 0..steps {
+        let u = mul_shift(schedule.next_u64(), n);
+        let row = graph.neighbors(u as NodeId);
+        let d = row.len();
+        let base = u * L;
+        let mut coins = [0u64; L];
+        if lazy {
+            rngs.next_row(&mut coins);
         }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let edge = graph.directed_edge(mul_shift(schedule.next_u64(), two_m));
-                let row = graph.neighbors(edge.tail);
-                let d = row.len();
-                let base = edge.tail as usize * L;
-                let mut coins = [0u64; L];
-                if lazy {
-                    rngs.next_row(&mut coins);
-                }
-                let mut raw = [0u64; L];
-                rngs.next_row(&mut raw);
-                let mut picked = [0.0f64; L];
+        if k == d {
+            let mut acc = [0.0f64; L];
+            for &v in row {
+                let vrow: &[f64; L] = (&values[v as usize * L..v as usize * L + L])
+                    .try_into()
+                    .unwrap();
                 for j in 0..L {
-                    let head = row[mul_shift(raw[j], d)] as usize;
-                    picked[j] = values[head * L + j];
-                }
-                let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                for j in 0..L {
-                    let old = target[j];
-                    let new = alpha * old + blend * picked[j];
-                    target[j] = if lazy && coin_skip(coins[j]) {
-                        old
-                    } else {
-                        new
-                    };
+                    acc[j] += vrow[j];
                 }
             }
+            let inv_d = 1.0 / d as f64;
+            let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
+            for j in 0..L {
+                let old = target[j];
+                let new = alpha * old + blend * (acc[j] * inv_d);
+                target[j] = if lazy && coin_skip(coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else if k == 1 {
+            let mut raw = [0u64; L];
+            rngs.next_row(&mut raw);
+            // Gather first into a register row so the L loads
+            // issue independently, then blend in one pass.
+            let mut picked = [0.0f64; L];
+            for j in 0..L {
+                let v = row[mul_shift(raw[j], d)] as usize;
+                picked[j] = values[v * L + j];
+            }
+            let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
+            for j in 0..L {
+                let old = target[j];
+                let new = alpha * old + blend * picked[j];
+                target[j] = if lazy && coin_skip(coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else {
+            // General k: exact sampler per lane on a substream
+            // (identical to the dynamic-width loop — nothing to
+            // vectorise across lanes here).
+            for j in 0..L {
+                if lazy && coin_skip(coins[j]) {
+                    continue;
+                }
+                let mut sub = rngs.step_substream(j);
+                sample_k_neighbors(row, k, &mut scratch.sample, &mut scratch.perm, &mut sub);
+                let mean = scratch
+                    .sample
+                    .iter()
+                    .map(|&v| values[v as usize * L + j])
+                    .sum::<f64>()
+                    / scratch.sample.len() as f64;
+                values[base + j] = alpha * values[base + j] + blend * mean;
+            }
+            rngs.advance();
         }
     }
 }
@@ -376,7 +352,7 @@ fn lane_steps_fixed<const L: usize>(
 #[allow(clippy::too_many_arguments)] // one hot loop, mirrors run_steps
 fn lane_steps_dyn(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     lanes: usize,
     values: &mut [f64],
     schedule: &mut CounterRng,
@@ -384,122 +360,92 @@ fn lane_steps_dyn(
     scratch: &mut LaneScratch,
     steps: u64,
 ) {
-    match spec {
-        KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let u = mul_shift(schedule.next_u64(), n);
-                let row = graph.neighbors(u as NodeId);
-                let d = row.len();
-                let base = u * lanes;
-                if lazy {
-                    rngs.next_row(&mut scratch.coins);
-                }
-                if k == d {
-                    // Full-row mean: every neighbour contributes one
-                    // contiguous lane row — no per-lane randomness.
-                    scratch.acc.fill(0.0);
-                    for &v in row {
-                        let vrow = v as usize * lanes;
-                        for j in 0..lanes {
-                            scratch.acc[j] += values[vrow + j];
-                        }
-                    }
-                    let inv_d = 1.0 / d as f64;
-                    for j in 0..lanes {
-                        let old = values[base + j];
-                        let new = alpha * old + blend * (scratch.acc[j] * inv_d);
-                        values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else if k == 1 {
-                    rngs.next_row(&mut scratch.raw);
-                    for j in 0..lanes {
-                        let v = row[mul_shift(scratch.raw[j], d)] as usize;
-                        let old = values[base + j];
-                        let new = alpha * old + blend * values[v * lanes + j];
-                        values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else {
-                    // General k: exact sampler per lane on a substream.
-                    for j in 0..lanes {
-                        if lazy && coin_skip(scratch.coins[j]) {
-                            continue;
-                        }
-                        let mut sub = rngs.step_substream(j);
-                        sample_k_neighbors(
-                            row,
-                            k,
-                            &mut scratch.sample,
-                            &mut scratch.perm,
-                            &mut sub,
-                        );
-                        let mean = scratch
-                            .sample
-                            .iter()
-                            .map(|&v| values[v as usize * lanes + j])
-                            .sum::<f64>()
-                            / scratch.sample.len() as f64;
-                        values[base + j] = alpha * values[base + j] + blend * mean;
-                    }
-                    rngs.advance();
-                }
-            }
+    let n = graph.n();
+    let alpha = params.alpha();
+    let blend = 1.0 - alpha;
+    let k = params.k();
+    let lazy = params.laziness() == Laziness::Lazy;
+    for _ in 0..steps {
+        let u = mul_shift(schedule.next_u64(), n);
+        let row = graph.neighbors(u as NodeId);
+        let d = row.len();
+        let base = u * lanes;
+        if lazy {
+            rngs.next_row(&mut scratch.coins);
         }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                // Shared tail, per-lane head: tail is the uniform
-                // directed edge's tail (marginal d_tail/2m), the head is
-                // uniform among its neighbours — jointly a uniform
-                // directed edge, lane by lane.
-                let edge = graph.directed_edge(mul_shift(schedule.next_u64(), two_m));
-                let row = graph.neighbors(edge.tail);
-                let d = row.len();
-                let base = edge.tail as usize * lanes;
-                if lazy {
-                    rngs.next_row(&mut scratch.coins);
-                }
-                rngs.next_row(&mut scratch.raw);
+        if k == d {
+            // Full-row mean: every neighbour contributes one
+            // contiguous lane row — no per-lane randomness.
+            scratch.acc.fill(0.0);
+            for &v in row {
+                let vrow = v as usize * lanes;
                 for j in 0..lanes {
-                    let head = row[mul_shift(scratch.raw[j], d)] as usize;
-                    let old = values[base + j];
-                    let new = alpha * old + blend * values[head * lanes + j];
-                    values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                        old
-                    } else {
-                        new
-                    };
+                    scratch.acc[j] += values[vrow + j];
                 }
             }
+            let inv_d = 1.0 / d as f64;
+            for j in 0..lanes {
+                let old = values[base + j];
+                let new = alpha * old + blend * (scratch.acc[j] * inv_d);
+                values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else if k == 1 {
+            rngs.next_row(&mut scratch.raw);
+            for j in 0..lanes {
+                let v = row[mul_shift(scratch.raw[j], d)] as usize;
+                let old = values[base + j];
+                let new = alpha * old + blend * values[v * lanes + j];
+                values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else {
+            // General k: exact sampler per lane on a substream.
+            for j in 0..lanes {
+                if lazy && coin_skip(scratch.coins[j]) {
+                    continue;
+                }
+                let mut sub = rngs.step_substream(j);
+                sample_k_neighbors(row, k, &mut scratch.sample, &mut scratch.perm, &mut sub);
+                let mean = scratch
+                    .sample
+                    .iter()
+                    .map(|&v| values[v as usize * lanes + j])
+                    .sum::<f64>()
+                    / scratch.sample.len() as f64;
+                values[base + j] = alpha * values[base + j] + blend * mean;
+            }
+            rngs.advance();
         }
     }
 }
 
-/// One lane-major sweep computing every lane's `(φ, M)` (Eq. 3 potential
-/// and π-weighted mean) in `O(n·lanes)` with contiguous lane-row loads.
-fn lane_potential_pi(graph: &Graph, lanes: usize, values: &[f64], mu: &mut [f64], phi: &mut [f64]) {
+/// One lane-major sweep computing the `(φ, M)` (Eq. 3 potential and
+/// π-weighted mean) of lanes `span` in `O(n·span.len())` with contiguous
+/// lane-row loads; `mu` and `phi` hold one entry per lane of `span`.
+/// Each lane's sums run in node order whatever the span, so a lane's
+/// `(φ, M)` are the same bits alone or in the full sweep.
+fn lane_potential_pi(
+    graph: &Graph,
+    lanes: usize,
+    span: Range<usize>,
+    values: &[f64],
+    mu: &mut [f64],
+    phi: &mut [f64],
+) {
     let two_m = graph.directed_edge_count() as f64;
+    let row = |u: usize| &values[u * lanes + span.start..u * lanes + span.end];
     mu.fill(0.0);
     for u in 0..graph.n() {
         let w = graph.degree(u as NodeId) as f64;
-        let base = u * lanes;
-        for j in 0..lanes {
-            mu[j] += w * values[base + j];
+        for (m, &v) in mu.iter_mut().zip(row(u)) {
+            *m += w * v;
         }
     }
     for m in mu.iter_mut() {
@@ -508,10 +454,9 @@ fn lane_potential_pi(graph: &Graph, lanes: usize, values: &[f64], mu: &mut [f64]
     phi.fill(0.0);
     for u in 0..graph.n() {
         let w = graph.degree(u as NodeId) as f64 / two_m;
-        let base = u * lanes;
-        for j in 0..lanes {
-            let c = values[base + j] - mu[j];
-            phi[j] += w * c * c;
+        for ((p, &m), &v) in phi.iter_mut().zip(&*mu).zip(row(u)) {
+            let c = v - m;
+            *p += w * c * c;
         }
     }
     for p in phi.iter_mut() {
@@ -530,32 +475,12 @@ fn schedule_stream(seeds: &[u64]) -> CounterRng {
     )
 }
 
-/// [`crate::ReplicaBatch`]'s lane-major sibling: `R` replicas of one
-/// averaging process advanced in lockstep under a shared step schedule.
-/// See the module docs for the layout, the RNG and the statistical
-/// contract.
-///
-/// # Example
-///
-/// ```
-/// use od_core::{EdgeModelParams, KernelSpec, LaneReplicaBatch};
-/// use od_graph::generators;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let g = generators::complete(16)?;
-/// let xi0: Vec<f64> = (0..16).map(f64::from).collect();
-/// let spec = KernelSpec::Edge(EdgeModelParams::new(0.5)?);
-/// let mut batch = LaneReplicaBatch::new(&g, spec, &xi0, &[1, 2, 3, 4])?;
-/// batch.step_many(10_000);
-/// let fs: Vec<f64> = (0..batch.lanes()).map(|r| batch.replica_average(r)).collect();
-/// assert!(fs.iter().all(|f| (0.0..=15.0).contains(f)));
-/// # Ok(())
-/// # }
-/// ```
+/// The state both lane batches share, apart from the topology they step
+/// over: lane-major values, the schedule and lane streams, scratch,
+/// time, and each lane's mutation count at its last recorded report.
 #[derive(Debug, Clone)]
-pub struct LaneReplicaBatch<'g> {
-    graph: &'g Graph,
-    spec: KernelSpec,
+struct LaneCore {
+    params: NodeModelParams,
     n: usize,
     lanes: usize,
     /// Lane-major `n × lanes` storage: node `u`, lane `j` at
@@ -565,6 +490,177 @@ pub struct LaneReplicaBatch<'g> {
     rngs: LaneRngs,
     scratch: LaneScratch,
     time: u64,
+    /// Per lane: the topology's mutation count at the boundary where the
+    /// lane last recorded its report (0 on a static graph).
+    mutations: Vec<u64>,
+}
+
+impl LaneCore {
+    /// `seeds.len()` lanes on `graph`, all starting from `xi0`.
+    fn new(
+        graph: &Graph,
+        params: NodeModelParams,
+        xi0: &[f64],
+        seeds: &[u64],
+    ) -> Result<LaneCore, CoreError> {
+        if graph.is_weighted() {
+            return Err(CoreError::WeightedUnsupported { tier: "lane" });
+        }
+        validate_values(graph, xi0)?;
+        KernelSpec::Node(params).validate(graph)?;
+        let n = xi0.len();
+        let lanes = seeds.len();
+        let mut values = vec![0.0; n * lanes];
+        for (u, &x) in xi0.iter().enumerate() {
+            values[u * lanes..(u + 1) * lanes].fill(x);
+        }
+        Ok(LaneCore {
+            params,
+            n,
+            lanes,
+            values,
+            schedule: schedule_stream(seeds),
+            rngs: LaneRngs::new(seeds),
+            scratch: LaneScratch::new(params, graph, lanes),
+            time: 0,
+            mutations: vec![0; lanes],
+        })
+    }
+
+    /// Advances every lane by `steps` shared-schedule steps on `graph`.
+    fn step(&mut self, graph: &Graph, steps: u64) {
+        run_lane_steps(
+            graph,
+            self.params,
+            self.lanes,
+            &mut self.values,
+            &mut self.schedule,
+            &mut self.rngs,
+            &mut self.scratch,
+            steps,
+        );
+        self.time += steps;
+    }
+
+    /// The topology hook after a block: nothing on a static graph, one
+    /// churn epoch of the shared environment otherwise.
+    fn churn(&self, topology: &mut Topology<'_>) -> Result<u64, CoreError> {
+        match topology {
+            Topology::Static(_) => Ok(0),
+            Topology::Churned(env) => Ok(env.advance(Some(KernelSpec::Node(self.params)))?.0),
+        }
+    }
+
+    /// The one frozen-lane loop: check every live lane at the current
+    /// boundary (recording its report and the topology's mutation
+    /// count, freezing it once `φ ≤ ε`), stop when every lane is frozen
+    /// or the budget is spent, else step one block and run the topology
+    /// hook, so the next check sees the post-churn graph.
+    fn converge(
+        &mut self,
+        topology: &mut Topology<'_>,
+        budget: Budget,
+        epsilon: f64,
+    ) -> Result<Vec<ConvergenceReport>, CoreError> {
+        validate_epsilon(epsilon)?;
+        let lanes = self.lanes;
+        let mut reports = vec![ConvergenceReport::default(); lanes];
+        if lanes == 0 {
+            return Ok(reports);
+        }
+        let mut mu = vec![0.0; lanes];
+        let mut phi = vec![0.0; lanes];
+        let mut frozen = vec![false; lanes];
+        let mut live = lanes;
+        let (mut t_call, mut rounds) = (0u64, 0u64);
+        loop {
+            let graph = topology.graph();
+            lane_potential_pi(graph, lanes, 0..lanes, &self.values, &mut mu, &mut phi);
+            let mutations = match topology {
+                Topology::Static(_) => 0,
+                Topology::Churned(env) => env.mutations,
+            };
+            for j in 0..lanes {
+                if frozen[j] {
+                    continue;
+                }
+                let converged = phi[j] <= epsilon;
+                reports[j] = ConvergenceReport {
+                    steps: t_call,
+                    converged,
+                    potential: phi[j],
+                    weighted_average: mu[j],
+                };
+                self.mutations[j] = mutations;
+                if converged {
+                    frozen[j] = true;
+                    live -= 1;
+                }
+            }
+            if live == 0 || t_call >= budget.max_steps || rounds == budget.max_epochs {
+                break;
+            }
+            let block = budget.check_every.min(budget.max_steps - t_call);
+            self.step(topology.graph(), block);
+            self.churn(topology)?;
+            t_call += block;
+            rounds += 1;
+        }
+        Ok(reports)
+    }
+
+    /// Lane `r`'s value vector, gathered out of the lane-major storage.
+    fn replica_values(&self, r: usize) -> Vec<f64> {
+        assert!(r < self.lanes, "lane {r} out of range");
+        (0..self.n)
+            .map(|u| self.values[u * self.lanes + r])
+            .collect()
+    }
+
+    /// `Avg(t)` of lane `r`.
+    fn replica_average(&self, r: usize) -> f64 {
+        assert!(r < self.lanes, "lane {r} out of range");
+        (0..self.n)
+            .map(|u| self.values[u * self.lanes + r])
+            .sum::<f64>()
+            / self.n as f64
+    }
+
+    /// `(φ, M)` of lane `r` on `graph`: the shared sweep over that lane.
+    fn replica_potential(&self, graph: &Graph, r: usize) -> (f64, f64) {
+        assert!(r < self.lanes, "lane {r} out of range");
+        let (mut mu, mut phi) = ([0.0], [0.0]);
+        lane_potential_pi(graph, self.lanes, r..r + 1, &self.values, &mut mu, &mut phi);
+        (phi[0], mu[0])
+    }
+}
+
+/// [`crate::ReplicaBatch`]'s lane-major sibling: `R` replicas of one
+/// NodeModel process advanced in lockstep under a shared step schedule.
+/// See the module docs for the layout, the RNG and the statistical
+/// contract.
+///
+/// # Example
+///
+/// ```
+/// use od_core::{LaneReplicaBatch, NodeModelParams};
+/// use od_graph::generators;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let g = generators::complete(16)?;
+/// let xi0: Vec<f64> = (0..16).map(f64::from).collect();
+/// let params = NodeModelParams::new(0.5, 1)?;
+/// let mut batch = LaneReplicaBatch::new(&g, params, &xi0, &[1, 2, 3, 4])?;
+/// batch.step_many(10_000);
+/// let fs: Vec<f64> = (0..batch.lanes()).map(|r| batch.replica_average(r)).collect();
+/// assert!(fs.iter().all(|f| (0.0..=15.0).contains(f)));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct LaneReplicaBatch<'g> {
+    graph: &'g Graph,
+    core: LaneCore,
 }
 
 impl<'g> LaneReplicaBatch<'g> {
@@ -580,32 +676,12 @@ impl<'g> LaneReplicaBatch<'g> {
     /// engine.
     pub fn new(
         graph: &'g Graph,
-        spec: KernelSpec,
+        params: NodeModelParams,
         xi0: &[f64],
         seeds: &[u64],
     ) -> Result<Self, CoreError> {
-        if graph.is_weighted() {
-            return Err(CoreError::WeightedUnsupported { tier: "lane" });
-        }
-        validate_values(graph, xi0)?;
-        spec.validate(graph)?;
-        let n = xi0.len();
-        let lanes = seeds.len();
-        let mut values = vec![0.0; n * lanes];
-        for (u, &x) in xi0.iter().enumerate() {
-            values[u * lanes..(u + 1) * lanes].fill(x);
-        }
-        Ok(LaneReplicaBatch {
-            graph,
-            spec,
-            n,
-            lanes,
-            values,
-            schedule: schedule_stream(seeds),
-            rngs: LaneRngs::new(seeds),
-            scratch: LaneScratch::new(spec, graph, lanes),
-            time: 0,
-        })
+        let core = LaneCore::new(graph, params, xi0, seeds)?;
+        Ok(LaneReplicaBatch { graph, core })
     }
 
     /// The underlying graph (shared by every lane).
@@ -613,29 +689,29 @@ impl<'g> LaneReplicaBatch<'g> {
         self.graph
     }
 
-    /// The model spec.
+    /// The model spec (always [`KernelSpec::Node`]).
     pub fn spec(&self) -> KernelSpec {
-        self.spec
+        KernelSpec::Node(self.core.params)
     }
 
     /// Number of lanes (replicas) `R`.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.core.lanes
     }
 
     /// Nodes per lane.
     pub fn n(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// Shared steps taken so far (every lane sees every step).
     pub fn time(&self) -> u64 {
-        self.time
+        self.core.time
     }
 
     /// The raw lane-major `n × lanes` storage (see [`to_replica_major`]).
     pub fn values(&self) -> &[f64] {
-        &self.values
+        &self.core.values
     }
 
     /// Lane `r`'s value vector, gathered out of the lane-major storage.
@@ -644,25 +720,12 @@ impl<'g> LaneReplicaBatch<'g> {
     ///
     /// Panics if `r >= lanes()`.
     pub fn replica_values(&self, r: usize) -> Vec<f64> {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .collect()
+        self.core.replica_values(r)
     }
 
     /// Advances every lane by `steps` shared-schedule steps.
     pub fn step_many(&mut self, steps: u64) {
-        run_lane_steps(
-            self.graph,
-            self.spec,
-            self.lanes,
-            &mut self.values,
-            &mut self.schedule,
-            &mut self.rngs,
-            &mut self.scratch,
-            steps,
-        );
-        self.time += steps;
+        self.core.step(self.graph, steps);
     }
 
     /// Drives every lane to ε-convergence (`φ ≤ ε`, checked every
@@ -684,103 +747,41 @@ impl<'g> LaneReplicaBatch<'g> {
         max_steps: u64,
         check_every: u64,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
-        validate_epsilon(epsilon)?;
-        let lanes = self.lanes;
-        let mut reports = vec![ConvergenceReport::default(); lanes];
-        if lanes == 0 {
-            return Ok(reports);
-        }
         let check_every = if check_every == 0 {
-            self.n as u64
+            self.core.n as u64
         } else {
             check_every
         };
-        let mut mu = vec![0.0; lanes];
-        let mut phi = vec![0.0; lanes];
-        let mut frozen = vec![false; lanes];
-        let mut live = lanes;
-        let mut t_call = 0u64;
-        loop {
-            lane_potential_pi(self.graph, lanes, &self.values, &mut mu, &mut phi);
-            for j in 0..lanes {
-                if frozen[j] {
-                    continue;
-                }
-                let converged = phi[j] <= epsilon;
-                reports[j] = ConvergenceReport {
-                    steps: t_call,
-                    converged,
-                    potential: phi[j],
-                    weighted_average: mu[j],
-                };
-                if converged {
-                    frozen[j] = true;
-                    live -= 1;
-                }
-            }
-            if live == 0 || t_call >= max_steps {
-                break;
-            }
-            let block = check_every.min(max_steps - t_call);
-            self.step_many(block);
-            t_call += block;
-        }
-        Ok(reports)
+        let budget = Budget::steps(check_every, max_steps);
+        self.core
+            .converge(&mut Topology::Static(self.graph), budget, epsilon)
     }
 
     /// `Avg(t)` of lane `r`. O(n).
     pub fn replica_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / self.n as f64
+        self.core.replica_average(r)
     }
 
     /// `M(t) = Σ π_u ξ_u(t)` of lane `r`. O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let two_m = self.graph.directed_edge_count() as f64;
-        (0..self.n)
-            .map(|u| self.graph.degree(u as NodeId) as f64 * self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / two_m
+        self.core.replica_potential(self.graph, r).1
     }
 
     /// The potential `φ(ξ(t))` (Eq. 3) of lane `r`. O(n).
     pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let mu = self.replica_weighted_average(r);
-        let two_m = self.graph.directed_edge_count() as f64;
-        (0..self.n)
-            .map(|u| {
-                let c = self.values[u * self.lanes + r] - mu;
-                self.graph.degree(u as NodeId) as f64 / two_m * c * c
-            })
-            .sum::<f64>()
-            .max(0.0)
+        self.core.replica_potential(self.graph, r).0
     }
 }
 
-/// [`crate::DynamicReplicaBatch`]'s lane-major sibling: the lane kernels
-/// over an evolving topology, all lanes sharing one churn trajectory
-/// (the same dedicated churn RNG and epoch cadence as the exact dynamic
-/// engines, so the topology sequence for a given `churn_seed` is
-/// identical across tiers).
+/// [`crate::DynamicReplicaBatch`]'s lane-major sibling: the NodeModel lane
+/// kernel over an evolving topology, all lanes sharing one churn
+/// trajectory (the same dedicated churn RNG and epoch cadence as the
+/// exact dynamic engines, so the topology sequence for a given
+/// `churn_seed` is identical across tiers).
 #[derive(Debug, Clone)]
 pub struct DynamicLaneReplicaBatch {
     env: Environment,
-    spec: KernelSpec,
-    n: usize,
-    lanes: usize,
-    values: Vec<f64>,
-    schedule: CounterRng,
-    rngs: LaneRngs,
-    scratch: LaneScratch,
-    time: u64,
-    /// Per lane: `mutations` at the boundary where the lane last froze
-    /// its report in `run_until_converged`.
-    retired_mutations: Vec<u64>,
+    core: LaneCore,
 }
 
 impl DynamicLaneReplicaBatch {
@@ -791,34 +792,15 @@ impl DynamicLaneReplicaBatch {
     /// The same as [`crate::DynamicReplicaBatch::new`].
     pub fn new(
         graph: DynamicGraph,
-        spec: KernelSpec,
+        params: NodeModelParams,
         xi0: &[f64],
         seeds: &[u64],
         churn: ChurnModel,
         churn_seed: u64,
     ) -> Result<Self, CoreError> {
         let env = Environment::new(graph, churn, churn_seed);
-        validate_values(env.graph(), xi0)?;
-        spec.validate(env.graph())?;
-        let n = xi0.len();
-        let lanes = seeds.len();
-        let mut values = vec![0.0; n * lanes];
-        for (u, &x) in xi0.iter().enumerate() {
-            values[u * lanes..(u + 1) * lanes].fill(x);
-        }
-        let scratch = LaneScratch::new(spec, env.graph(), lanes);
-        Ok(DynamicLaneReplicaBatch {
-            env,
-            spec,
-            n,
-            lanes,
-            values,
-            schedule: schedule_stream(seeds),
-            rngs: LaneRngs::new(seeds),
-            scratch,
-            time: 0,
-            retired_mutations: vec![0; lanes],
-        })
+        let core = LaneCore::new(env.graph(), params, xi0, seeds)?;
+        Ok(DynamicLaneReplicaBatch { env, core })
     }
 
     /// The committed CSR shared by every lane.
@@ -831,24 +813,24 @@ impl DynamicLaneReplicaBatch {
         &self.env.graph
     }
 
-    /// The model spec.
+    /// The model spec (always [`KernelSpec::Node`]).
     pub fn spec(&self) -> KernelSpec {
-        self.spec
+        KernelSpec::Node(self.core.params)
     }
 
     /// Number of lanes (replicas) `R`.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.core.lanes
     }
 
     /// Nodes per lane.
     pub fn n(&self) -> usize {
-        self.n
+        self.core.n
     }
 
     /// Shared steps taken so far.
     pub fn time(&self) -> u64 {
-        self.time
+        self.core.time
     }
 
     /// Epoch boundaries crossed so far.
@@ -871,7 +853,7 @@ impl DynamicLaneReplicaBatch {
     ///
     /// Panics if `r >= lanes()`.
     pub fn replica_mutations(&self, r: usize) -> u64 {
-        self.retired_mutations[r]
+        self.core.mutations[r]
     }
 
     /// Lane `r`'s value vector, gathered out of the lane-major storage.
@@ -880,10 +862,7 @@ impl DynamicLaneReplicaBatch {
     ///
     /// Panics if `r >= lanes()`.
     pub fn replica_values(&self, r: usize) -> Vec<f64> {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .collect()
+        self.core.replica_values(r)
     }
 
     /// Advances every lane by `steps` steps on the frozen topology, then
@@ -894,18 +873,8 @@ impl DynamicLaneReplicaBatch {
     ///
     /// See [`crate::DynamicStepKernel::step_epoch`].
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        run_lane_steps(
-            self.env.graph(),
-            self.spec,
-            self.lanes,
-            &mut self.values,
-            &mut self.schedule,
-            &mut self.rngs,
-            &mut self.scratch,
-            steps,
-        );
-        self.time += steps;
-        Ok(self.env.advance(Some(self.spec))?.0)
+        self.core.step(self.env.graph(), steps);
+        self.core.churn(&mut Topology::Churned(&mut self.env))
     }
 
     /// Drives every lane to ε-convergence or to `max_epochs` epochs of
@@ -925,87 +894,35 @@ impl DynamicLaneReplicaBatch {
         max_epochs: u64,
         epsilon: f64,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
-        validate_epsilon(epsilon)?;
-        let lanes = self.lanes;
-        let mut reports = vec![ConvergenceReport::default(); lanes];
-        if lanes == 0 {
-            return Ok(reports);
-        }
-        let mut mu = vec![0.0; lanes];
-        let mut phi = vec![0.0; lanes];
-        let mut frozen = vec![false; lanes];
-        let mut live = lanes;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        loop {
-            lane_potential_pi(self.env.graph(), lanes, &self.values, &mut mu, &mut phi);
-            for j in 0..lanes {
-                if frozen[j] {
-                    continue;
-                }
-                let converged = phi[j] <= epsilon;
-                reports[j] = ConvergenceReport {
-                    steps: t_call,
-                    converged,
-                    potential: phi[j],
-                    weighted_average: mu[j],
-                };
-                self.retired_mutations[j] = self.env.mutations;
-                if converged {
-                    frozen[j] = true;
-                    live -= 1;
-                }
-            }
-            if live == 0 || epochs == max_epochs {
-                break;
-            }
-            self.step_epoch(steps_per_epoch)?;
-            t_call += steps_per_epoch;
-            epochs += 1;
-        }
-        Ok(reports)
+        let budget = Budget::epochs(steps_per_epoch, max_epochs);
+        self.core
+            .converge(&mut Topology::Churned(&mut self.env), budget, epsilon)
     }
 
     /// `Avg(t)` of lane `r`. O(n).
     pub fn replica_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / self.n as f64
+        self.core.replica_average(r)
     }
 
     /// `M(t) = Σ π_u ξ_u(t)` of lane `r` on the current topology. O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let graph = self.env.graph();
-        let two_m = graph.directed_edge_count() as f64;
-        (0..self.n)
-            .map(|u| graph.degree(u as NodeId) as f64 * self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / two_m
+        self.core.replica_potential(self.env.graph(), r).1
     }
 
     /// The potential `φ(ξ(t))` (Eq. 3) of lane `r` on the current
     /// topology. O(n).
     pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let lanes = self.lanes;
-        let mut mu = vec![0.0; lanes];
-        let mut phi = vec![0.0; lanes];
-        lane_potential_pi(self.env.graph(), lanes, &self.values, &mut mu, &mut phi);
-        phi[r]
+        self.core.replica_potential(self.env.graph(), r).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{EdgeModelParams, NodeModelParams};
     use od_graph::generators;
 
-    fn node_spec(alpha: f64, k: usize) -> KernelSpec {
-        KernelSpec::Node(NodeModelParams::new(alpha, k).unwrap())
+    fn node_spec(alpha: f64, k: usize) -> NodeModelParams {
+        NodeModelParams::new(alpha, k).unwrap()
     }
 
     #[test]
@@ -1054,12 +971,7 @@ mod tests {
             node_spec(0.5, 1),
             node_spec(0.5, 4), // k = d on the torus: full-row arm
             node_spec(0.3, 2), // general-k substream arm
-            KernelSpec::Node(
-                NodeModelParams::new(0.5, 1)
-                    .unwrap()
-                    .with_laziness(Laziness::Lazy),
-            ),
-            KernelSpec::Edge(EdgeModelParams::new(0.4).unwrap()),
+            node_spec(0.5, 1).with_laziness(Laziness::Lazy),
         ] {
             let mut fixed = vec![0.0; n * lanes];
             for u in 0..n {
@@ -1098,19 +1010,14 @@ mod tests {
 
     #[test]
     fn lanes_preserve_the_conserved_mean() {
-        // The EdgeModel with alpha = 1/2 conserves the sum over each
-        // update in expectation; more sharply, every tier must keep all
-        // values inside the initial hull and drive phi down.
+        // The NodeModel conserves the pi-weighted mean in expectation;
+        // more sharply, every lane must keep all values inside the
+        // initial hull and drive phi down.
         let g = generators::torus(8, 8).unwrap();
         let xi0: Vec<f64> = (0..64)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        for spec in [
-            node_spec(0.5, 1),
-            node_spec(0.5, 4),
-            node_spec(0.3, 2),
-            KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap()),
-        ] {
+        for spec in [node_spec(0.5, 1), node_spec(0.5, 4), node_spec(0.3, 2)] {
             let mut batch = LaneReplicaBatch::new(&g, spec, &xi0, &[1, 2, 3, 4, 5]).unwrap();
             let phi0: Vec<f64> = (0..5).map(|r| batch.replica_potential_pi(r)).collect();
             batch.step_many(20_000);
@@ -1129,11 +1036,7 @@ mod tests {
     fn lazy_lanes_still_converge_and_differ() {
         let g = generators::complete(12).unwrap();
         let xi0: Vec<f64> = (0..12).map(f64::from).collect();
-        let spec = KernelSpec::Node(
-            NodeModelParams::new(0.5, 1)
-                .unwrap()
-                .with_laziness(Laziness::Lazy),
-        );
+        let spec = node_spec(0.5, 1).with_laziness(Laziness::Lazy);
         let mut batch = LaneReplicaBatch::new(&g, spec, &xi0, &[10, 20]).unwrap();
         batch.step_many(30_000);
         let a = batch.replica_values(0);

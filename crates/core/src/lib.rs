@@ -54,7 +54,6 @@ mod edge_model;
 mod engine;
 mod error;
 mod kernel;
-#[cfg(feature = "lane")]
 mod lane;
 mod node_model;
 mod params;
@@ -78,7 +77,6 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use kernel::{KernelSpec, StepKernel, VoterKernel};
-#[cfg(feature = "lane")]
 pub use lane::{
     to_lane_major, to_replica_major, DynamicLaneReplicaBatch, LaneReplicaBatch, LaneRngs,
 };

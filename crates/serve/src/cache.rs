@@ -11,7 +11,10 @@
 //! With a directory configured the cache is persistent: completed cells
 //! are serialised as line-oriented text (floats as `f64::to_bits` hex
 //! words, like `WindowCheckpoint`) and written via temp-file + rename,
-//! then reloaded wholesale on startup. In-flight window checkpoints for
+//! then reloaded wholesale on startup. Each file's header carries the
+//! [`ENGINE_EPOCH`] it was computed under; a file from another epoch is
+//! skipped, so a change to what some spec text computes cannot be masked
+//! by results persisted before it. In-flight window checkpoints for
 //! long static-converge cells live in the same directory under a
 //! `.window` extension, keyed the same way.
 
@@ -22,6 +25,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use od_core::WindowCheckpoint;
 use od_sim::TrialResult;
+
+/// The version of what the engines compute for a given spec text,
+/// written into every `.cell` header and required on reload. Bump it with
+/// any change that moves some spec's results or engine label.
+///
+/// * 1 — the unversioned `odcell 1` header.
+/// * 2 — `tier lane` node-model specs run the lane engines in every
+///   build (they ran the exact engines unless built with a cargo
+///   feature).
+pub const ENGINE_EPOCH: u32 = 2;
 
 /// One completed cell as the cache stores it: the engine it ran on
 /// (display form) and its per-trial results.
@@ -35,12 +48,12 @@ pub struct StoredCell {
 
 impl StoredCell {
     /// Serialises the cell together with its cache key as line-oriented
-    /// text; floats as `f64::to_bits` hex words so the round trip is
-    /// exact.
+    /// text under the current [`ENGINE_EPOCH`]; floats as `f64::to_bits`
+    /// hex words so the round trip is exact.
     pub fn to_text(&self, key: &str) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "odcell 1");
+        let _ = writeln!(out, "odcell 1 epoch {ENGINE_EPOCH}");
         let _ = writeln!(out, "keylines {}", key.lines().count());
         for line in key.lines() {
             let _ = writeln!(out, "{line}");
@@ -66,11 +79,13 @@ impl StoredCell {
     ///
     /// # Errors
     ///
-    /// A description of the malformed line.
+    /// A description of the malformed line, or of a header from another
+    /// [`ENGINE_EPOCH`].
     pub fn from_text(text: &str) -> Result<(String, StoredCell), String> {
         let mut lines = text.lines();
-        if lines.next() != Some("odcell 1") {
-            return Err("missing 'odcell 1' header".into());
+        let header = format!("odcell 1 epoch {ENGINE_EPOCH}");
+        if lines.next() != Some(header.as_str()) {
+            return Err(format!("missing '{header}' header"));
         }
         let count_line = lines.next().ok_or("missing keylines line")?;
         let count: usize = count_line
@@ -164,8 +179,8 @@ impl MemoCache {
 
     /// An empty in-memory cache, or — with `dir` — a persistent one
     /// preloaded with every `.cell` file already in the directory.
-    /// Unreadable or malformed files are skipped, not fatal, and counted
-    /// ([`MemoCache::skipped`]).
+    /// Unreadable, malformed or other-epoch files are skipped, not fatal,
+    /// and counted ([`MemoCache::skipped`]).
     ///
     /// # Errors
     ///
@@ -198,8 +213,8 @@ impl MemoCache {
         })
     }
 
-    /// Number of `.cell` files the preload skipped as unreadable or
-    /// malformed.
+    /// Number of `.cell` files the preload skipped as unreadable,
+    /// malformed or from another [`ENGINE_EPOCH`].
     pub fn skipped(&self) -> usize {
         self.skipped
     }
@@ -371,7 +386,15 @@ mod tests {
     #[test]
     fn from_text_rejects_garbage() {
         assert!(StoredCell::from_text("nope").is_err());
-        assert!(StoredCell::from_text("odcell 1\nkeylines 2\nonly-one\n").is_err());
-        assert!(StoredCell::from_text("odcell 1\nkeylines 0\nengine e\ntrial bad\n").is_err());
+        let header = format!("odcell 1 epoch {ENGINE_EPOCH}");
+        assert!(StoredCell::from_text(&format!("{header}\nkeylines 2\nonly-one\n")).is_err());
+        assert!(
+            StoredCell::from_text(&format!("{header}\nkeylines 0\nengine e\ntrial bad\n")).is_err()
+        );
+        // A well-formed cell from another epoch is rejected too.
+        let text = cell().to_text("seed 3\n");
+        let stale = text.replacen(&header, "odcell 1", 1);
+        assert!(StoredCell::from_text(&text).is_ok());
+        assert!(StoredCell::from_text(&stale).is_err());
     }
 }

@@ -42,11 +42,12 @@
 //!
 //! With a checkpoint directory configured, completed cells are written
 //! (temp-file + rename) as text [`StoredCell`]s and reloaded on
-//! startup, and long static-converge cells additionally checkpoint
-//! their in-flight SoA window (`od_core::WindowCheckpoint` — value
-//! rows, RNG words, tracker sums) every few block rounds, so a restart
-//! resumes mid-cell instead of recomputing — bit-identically, per the
-//! window's contract.
+//! startup — those of the current [`ENGINE_EPOCH`] only; the rest are
+//! skipped and counted in `cache_skipped`. Long static-converge cells
+//! additionally checkpoint their in-flight SoA window
+//! (`od_core::WindowCheckpoint` — value rows, RNG words, tracker sums)
+//! every few block rounds, so a restart resumes mid-cell instead of
+//! recomputing — bit-identically, per the window's contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,6 +56,6 @@ mod cache;
 mod pool;
 mod server;
 
-pub use cache::{MemoCache, StoredCell};
+pub use cache::{MemoCache, StoredCell, ENGINE_EPOCH};
 pub use pool::WorkerPool;
 pub use server::{Server, ServerConfig};

@@ -10,10 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use od_stats::{fmt_float, paired_t_ci, Summary};
+use od_stats::{fmt_float, Summary};
 
 use od_graph::Graph;
-use od_sim::{cell_rows, Simulation, SweepPlan, SweepSpec};
+use od_sim::{cell_rows, crn_contrasts, Simulation, SweepPlan, SweepSpec};
 
 use crate::cache::{MemoCache, StoredCell};
 use crate::pool::WorkerPool;
@@ -354,37 +354,25 @@ fn handle_submit(text: &str, shared: &Arc<Shared>, writer: &mut impl Write) -> i
         writer.flush()?;
         emitted.push(stored);
     }
-    // Paired contrasts against cell 0, mirroring
-    // `SweepReport::contrasts`: CRN sweeps with ≥ 2 cells only; cells
-    // with unequal replica counts are reported unpaired. `emitted`
-    // holds every cell in order by construction of the loop above, so
-    // no unwrapping: a missing baseline just skips the contrasts.
-    if plan.crn && emitted.len() == plan.cells.len() && emitted.len() >= 2 {
-        let steps_of = |stored: &StoredCell| -> Vec<f64> {
-            stored.trials.iter().map(|t| t.steps as f64).collect()
-        };
-        let Some(first) = emitted.first() else {
-            return writeln!(writer, "DONE");
-        };
-        let baseline = steps_of(first);
-        for (i, stored) in emitted.iter().enumerate().skip(1) {
-            let steps = steps_of(stored);
-            let label = &plan.cells[i].label;
-            if steps.len() == baseline.len() && steps.len() >= 2 {
-                let contrast = paired_t_ci(&steps, &baseline);
-                writeln!(
-                    writer,
-                    "CONTRAST {i} mean_diff={} std_err={} ci95_lo={} ci95_hi={} resolved={} \
-                     label={label}",
-                    fmt_float(contrast.mean_diff),
-                    fmt_float(contrast.std_err),
-                    fmt_float(contrast.ci95.0),
-                    fmt_float(contrast.ci95.1),
-                    contrast.resolved(),
-                )?;
-            } else {
-                writeln!(writer, "CONTRAST {i} unpaired label={label}")?;
-            }
+    // Paired contrasts against cell 0 under `SweepReport::contrasts`'
+    // pairing rule. `emitted` holds every cell in order by construction
+    // of the loop above.
+    let trials = emitted.iter().map(|stored| stored.trials.as_slice());
+    for (i, contrast) in crn_contrasts(plan.crn, trials).into_iter().enumerate() {
+        let i = i + 1;
+        let label = &plan.cells[i].label;
+        match contrast {
+            Some(contrast) => writeln!(
+                writer,
+                "CONTRAST {i} mean_diff={} std_err={} ci95_lo={} ci95_hi={} resolved={} \
+                 label={label}",
+                fmt_float(contrast.mean_diff),
+                fmt_float(contrast.std_err),
+                fmt_float(contrast.ci95.0),
+                fmt_float(contrast.ci95.1),
+                contrast.resolved(),
+            )?,
+            None => writeln!(writer, "CONTRAST {i} unpaired label={label}")?,
         }
     }
     writeln!(writer, "DONE")?;

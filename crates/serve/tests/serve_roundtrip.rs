@@ -20,6 +20,27 @@ const SWEEP: &str = "scenario serve-test\n\
                      stop converge eps=0.000001 rule=exact potential=pi budget=1000000\n\
                      sweep k = 1,2\n";
 
+/// A CRN sweep over replica counts: its cells cannot be paired, so the
+/// daemon reports the contrast as unpaired.
+const REPLICAS_SWEEP: &str = "scenario serve-replicas\n\
+                              model node alpha=0.5 k=1 lazy=false\n\
+                              graph cycle n=8\n\
+                              init pm_one\n\
+                              replicas 4\n\
+                              seed 7\n\
+                              stop converge eps=0.000001 rule=exact potential=pi budget=1000000\n\
+                              sweep replicas = 4,3\n";
+
+/// A node-model cell on the lane tier.
+const LANE_CELL: &str = "scenario serve-lane\n\
+                         model node alpha=0.5 k=1 lazy=false\n\
+                         graph cycle n=8\n\
+                         init pm_one\n\
+                         replicas 4\n\
+                         seed 7\n\
+                         stop converge eps=0.000001 rule=block potential=pi budget=1000000\n\
+                         tier lane\n";
+
 struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -181,20 +202,35 @@ fn streamed_rows_match_the_cli_sink_renderer() {
     })
     .unwrap();
     let mut client = Client::connect(&server);
-    let response = client.submit(SWEEP);
+    for (scn, scenario, paired) in [
+        (SWEEP, "serve-test", true),
+        (REPLICAS_SWEEP, "serve-replicas", false),
+    ] {
+        let response = client.submit(scn);
 
-    let sweep = SweepSpec::parse(SWEEP).unwrap();
-    let report = run_sweep(&sweep).unwrap();
-    let expected: Vec<String> = sweep_rows("serve-test", &report)
-        .iter()
-        .map(|row| format!("ROW {}", row.csv_line()))
-        .collect();
-    let got: Vec<String> = response
-        .lines()
-        .filter(|line| line.starts_with("ROW "))
-        .map(str::to_string)
-        .collect();
-    assert_eq!(got, expected, "daemon rows must equal the CLI sink rows");
+        let sweep = SweepSpec::parse(scn).unwrap();
+        let report = run_sweep(&sweep).unwrap();
+        let expected: Vec<String> = sweep_rows(scenario, &report)
+            .iter()
+            .map(|row| format!("ROW {}", row.csv_line()))
+            .collect();
+        let got: Vec<String> = response
+            .lines()
+            .filter(|line| line.starts_with("ROW "))
+            .map(str::to_string)
+            .collect();
+        assert_eq!(got, expected, "daemon rows must equal the CLI sink rows");
+
+        // The daemon pairs cells exactly as the sweep report does.
+        let contrasts = report.contrasts();
+        assert_eq!(contrasts.len(), 1);
+        assert_eq!(contrasts[0].steps.is_some(), paired);
+        let line = match paired {
+            true => "\nCONTRAST 1 mean_diff=".to_string(),
+            false => format!("\nCONTRAST 1 unpaired label={}\n", contrasts[0].label),
+        };
+        assert!(response.contains(&line), "no '{line}' in {response}");
+    }
 }
 
 #[test]
@@ -264,6 +300,40 @@ fn truncated_cell_file_is_counted_not_fatal() {
     let stats = client.command("STATS");
     assert_eq!(stat(&stats, "cache_skipped"), 1);
     assert_eq!(stat(&stats, "cache_entries"), 1);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cell_files_from_another_engine_epoch_are_skipped() {
+    // A `tier lane` node cell persisted in the unversioned `odcell 1`
+    // format by a build that ran it on the exact engines: replaying it
+    // would serve exact-tier trials under the lane tier's key.
+    let dir = temp_dir("epoch");
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = SweepSpec::parse(LANE_CELL).unwrap().base.canonical_key();
+    let mut stale = format!("odcell 1\nkeylines {}\n{key}", key.lines().count());
+    stale.push_str("engine streaming-converge\n");
+    for _ in 0..4 {
+        stale.push_str("trial 96 1 3e7ad7f29abcaf48 0000000000000000 - 0\n");
+    }
+    std::fs::write(dir.join("stale.cell"), stale).unwrap();
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        checkpoint_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&server);
+    let response = client.submit(LANE_CELL);
+    assert!(
+        response.contains("\nCELL 0 engine=lane-converge "),
+        "got: {response}"
+    );
+    let stats = client.command("STATS");
+    assert_eq!(stat(&stats, "cache_skipped"), 1);
+    assert_eq!(stat(&stats, "cells_run"), 1, "the cell was recomputed");
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -63,6 +63,6 @@ pub use spec::{
     StopRuleSpec, StopSpec, TierSpec, WeightSpec, DEFAULT_BATCH,
 };
 pub use sweep::{
-    run_cell, run_sweep, CellReport, SweepAxis, SweepCell, SweepContrast, SweepPlan, SweepReport,
-    SweepSpec, MAX_CELLS,
+    crn_contrasts, run_cell, run_sweep, CellReport, SweepAxis, SweepCell, SweepContrast, SweepPlan,
+    SweepReport, SweepSpec, MAX_CELLS,
 };

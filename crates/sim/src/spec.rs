@@ -842,13 +842,13 @@ pub enum TierSpec {
     /// independent of batch size and thread count.
     #[default]
     Exact,
-    /// The lane-major SIMD tier (`lane` cargo feature): all replicas of
-    /// one node sit adjacent in memory so a single CSR gather feeds the
+    /// The lane-major SIMD tier for the NodeModel: all replicas of one
+    /// node sit adjacent in memory so a single CSR gather feeds the
     /// whole vector register. Every replica's marginal law is exactly
     /// the process law, but the step schedule is shared across lanes, so
     /// results are **statistically equivalent** to — not bit-identical
-    /// with — the exact tier. When the `lane` feature is compiled out,
-    /// dispatch falls back to the exact tier.
+    /// with — the exact tier. Edge-model specs and weighted graphs have
+    /// no lane kernel; dispatch runs them on the exact tier.
     Lane,
 }
 

@@ -37,7 +37,7 @@ use std::fmt;
 use od_graph::Graph;
 use od_stats::{paired_t_ci, Contrast};
 
-use crate::sim::{Simulation, SimulationReport};
+use crate::sim::{Simulation, SimulationReport, TrialResult};
 use crate::spec::{
     parse_graph_tokens, ChurnModelSpec, GraphSpec, ModelSpec, ScenarioSpec, SimError, StopSpec,
 };
@@ -497,13 +497,6 @@ pub struct CellReport {
     pub report: SimulationReport,
 }
 
-impl CellReport {
-    /// Per-trial step counts as f64 — the paired-contrast observable.
-    fn steps_f64(&self) -> Vec<f64> {
-        self.report.trials.iter().map(|t| t.steps as f64).collect()
-    }
-}
-
 /// A CRN-paired contrast of one cell against the baseline cell 0.
 #[derive(Debug, Clone)]
 pub struct SweepContrast {
@@ -531,29 +524,52 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Paired-t contrasts of every cell against cell 0, CRN sweeps
-    /// only (pairing is meaningless under independent seeding — returns
-    /// an empty list). Cells whose replica count differs from the
-    /// baseline's are skipped (`steps: None`).
+    /// Paired-t contrasts of every cell against cell 0 under
+    /// [`crn_contrasts`]' pairing rule: CRN sweeps only (pairing is
+    /// meaningless under independent seeding — returns an empty list),
+    /// and cells whose replica count differs from the baseline's are
+    /// skipped (`steps: None`).
     pub fn contrasts(&self) -> Vec<SweepContrast> {
-        if !self.crn || self.cells.len() < 2 {
-            return Vec::new();
-        }
-        let baseline = self.cells[0].steps_f64();
-        self.cells[1..]
-            .iter()
-            .map(|cell| {
-                let steps = cell.steps_f64();
-                let contrast = (steps.len() == baseline.len() && steps.len() >= 2)
-                    .then(|| paired_t_ci(&steps, &baseline));
-                SweepContrast {
-                    cell: cell.cell.index,
-                    label: cell.cell.label.clone(),
-                    steps: contrast,
-                }
+        let trials = self.cells.iter().map(|cell| cell.report.trials.as_slice());
+        crn_contrasts(self.crn, trials)
+            .into_iter()
+            .zip(self.cells.iter().skip(1))
+            .map(|(steps, cell)| SweepContrast {
+                cell: cell.cell.index,
+                label: cell.cell.label.clone(),
+                steps,
             })
             .collect()
     }
+}
+
+/// The CRN pairing rule, given each cell's trials in lattice order: one
+/// paired-t contrast of per-trial steps (`cell − cell 0`) per cell after
+/// the first. Empty unless the sweep ran under common random numbers
+/// with at least 2 cells; `None` ("unpaired") for a cell whose replica
+/// count differs from the baseline's or is below 2. Both
+/// [`SweepReport::contrasts`] and the `od-serve` daemon's `CONTRAST`
+/// lines apply it.
+pub fn crn_contrasts<'a>(
+    crn: bool,
+    cells: impl IntoIterator<Item = &'a [TrialResult]>,
+) -> Vec<Option<Contrast>> {
+    if !crn {
+        return Vec::new();
+    }
+    let steps: Vec<Vec<f64>> = cells
+        .into_iter()
+        .map(|trials| trials.iter().map(|t| t.steps as f64).collect())
+        .collect();
+    let [baseline, rest @ ..] = steps.as_slice() else {
+        return Vec::new();
+    };
+    rest.iter()
+        .map(|steps| {
+            (steps.len() == baseline.len() && steps.len() >= 2)
+                .then(|| paired_t_ci(steps, baseline))
+        })
+        .collect()
 }
 
 /// A validated sweep expanded into its schedulable parts: the cell

@@ -1,11 +1,11 @@
-//! Statistical-equivalence gate for the lane tier (`lane` feature).
+//! Statistical-equivalence gate for the lane tier (`tier lane`).
 //!
 //! The lane-major kernels are documented **fast, not bit-equal**: each
 //! lane's marginal law is exactly the process law (the shared schedule
-//! draw has the model's focus distribution; neighbour choices and lazy
+//! draw is the NodeModel's uniform node; neighbour choices and lazy
 //! coins are per-lane), but lanes are mutually correlated and nothing is
 //! bit-comparable with the exact tier. What must therefore hold — and
-//! what this suite pins over a 5-graph × 3-model matrix — is that the
+//! what this suite pins over a 5-graph × 2-model matrix — is that the
 //! *distributions* agree:
 //!
 //! * every replica converges under both tiers on the same ε/budget;
@@ -28,17 +28,15 @@
 //! One cell is the documented **degenerate extreme** of the shared
 //! schedule: a non-lazy NodeModel with `k = d` on a regular graph
 //! (`cycle24/node_k2`) has *no* per-lane randomness — the update is a
-//! deterministic function of the shared focus — so every lane is the
+//! deterministic function of the shared node — so every lane is the
 //! same trajectory and the batch carries one effective replica. The
 //! suite asserts that collapse exactly (zero cross-lane dispersion, the
 //! single trajectory still statistically consistent with the exact
 //! tier) instead of the i.i.d.-style bands.
 
-#![cfg(feature = "lane")]
-
 use opinion_dynamics::core::{
-    ConvergeConfig, EdgeModelParams, KernelSpec, LaneReplicaBatch, Laziness, NodeModelParams,
-    PotentialKind, ReplicaBatch, StopRule,
+    ConvergeConfig, KernelSpec, LaneReplicaBatch, Laziness, NodeModelParams, PotentialKind,
+    ReplicaBatch, StopRule,
 };
 use opinion_dynamics::graph::{generators, Graph};
 use opinion_dynamics::stats::SeedSequence;
@@ -65,17 +63,10 @@ fn graph_matrix() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn model_matrix() -> Vec<(&'static str, KernelSpec)> {
+fn model_matrix() -> Vec<(&'static str, NodeModelParams)> {
     vec![
-        (
-            "node_k1",
-            KernelSpec::Node(NodeModelParams::new(0.5, 1).unwrap()),
-        ),
-        (
-            "node_k2",
-            KernelSpec::Node(NodeModelParams::new(0.3, 2).unwrap()),
-        ),
-        ("edge", KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap())),
+        ("node_k1", NodeModelParams::new(0.5, 1).unwrap()),
+        ("node_k2", NodeModelParams::new(0.3, 2).unwrap()),
     ]
 }
 
@@ -105,19 +96,15 @@ fn lane_tier_matches_exact_tier_in_distribution() {
         let check_every = n as u64;
         let seq = SeedSequence::new(0xE9_0D15);
         let seeds: Vec<u64> = (0..REPLICAS as u64).map(|i| seq.seed(i)).collect();
-        for (mname, spec) in model_matrix() {
+        for (mname, params) in model_matrix() {
             let cell = format!("{gname}/{mname}");
             // Non-lazy NodeModel with k = d everywhere: no per-lane
             // randomness, lanes coincide (see the module docs).
-            let degenerate = match spec {
-                KernelSpec::Node(p) => {
-                    p.laziness() == Laziness::Active
-                        && graph.min_degree() == graph.max_degree()
-                        && p.k() == graph.min_degree()
-                }
-                KernelSpec::Edge(_) => false,
-            };
+            let degenerate = params.laziness() == Laziness::Active
+                && graph.min_degree() == graph.max_degree()
+                && params.k() == graph.min_degree();
 
+            let spec = KernelSpec::Node(params);
             let mut exact = ReplicaBatch::new(&graph, spec, &xi0, &seeds).unwrap();
             let exact_reports = exact
                 .run_until_converged(
@@ -128,7 +115,7 @@ fn lane_tier_matches_exact_tier_in_distribution() {
                 )
                 .unwrap();
 
-            let mut lane = LaneReplicaBatch::new(&graph, spec, &xi0, &seeds).unwrap();
+            let mut lane = LaneReplicaBatch::new(&graph, params, &xi0, &seeds).unwrap();
             let lane_reports = lane
                 .run_until_converged(EPSILON, BUDGET, check_every)
                 .unwrap();

@@ -1,4 +1,4 @@
-//! Property suite for the lane tier's storage layout (`lane` feature):
+//! Property suite for the lane tier's storage layout (`tier lane`):
 //! across random instances from **all 17** `od-graph` generator families,
 //!
 //! * the lane-major ↔ replica-major transpositions are a bijection pair
@@ -13,11 +13,7 @@
 //! The graph-instance strategy mirrors `tests/dynamic_prop.rs` so every
 //! generator family is exercised.
 
-#![cfg(feature = "lane")]
-
-use opinion_dynamics::core::{
-    to_lane_major, to_replica_major, KernelSpec, LaneReplicaBatch, NodeModelParams,
-};
+use opinion_dynamics::core::{to_lane_major, to_replica_major, LaneReplicaBatch, NodeModelParams};
 use opinion_dynamics::graph::{generators, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -106,9 +102,9 @@ proptest! {
         let graph = build_graph(family, size, graph_seed);
         let n = graph.n();
         let xi0: Vec<f64> = (0..n).map(|u| u as f64 / n as f64).collect();
-        let spec = KernelSpec::Node(NodeModelParams::new(0.5, 1).unwrap());
+        let params = NodeModelParams::new(0.5, 1).unwrap();
         let seeds: Vec<u64> = (0..lanes as u64).map(|j| seed ^ j).collect();
-        let mut batch = LaneReplicaBatch::new(&graph, spec, &xi0, &seeds).unwrap();
+        let mut batch = LaneReplicaBatch::new(&graph, params, &xi0, &seeds).unwrap();
         // t = 0: every lane is the broadcast initial state.
         for r in 0..lanes {
             prop_assert_eq!(&batch.replica_values(r), &xi0);
